@@ -28,7 +28,7 @@ from .gate import (
     hellinger,
 )
 from .metrics import auc_binary, auc_ovr
-from .network import Network, compute_beta, joint_loss, train_epoch
+from .network import Network, compute_beta, train_epoch
 from .oracle import NeighborTable, Oracle, OracleConfig, build_neighbor_table
 from .strategy import LabelDecision, QuestionContext, decide, epsilon_schedule
 
@@ -65,7 +65,6 @@ __all__ = [
     "fit_conditional_gaussians",
     "gen_synthetic",
     "hellinger",
-    "joint_loss",
     "load_config",
     "load_csv",
     "mc_posteriors",

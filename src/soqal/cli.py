@@ -44,18 +44,35 @@ def _seed_base() -> int:
         raise ConfigError(f"SOQAL_SEED_BASE must be an integer, got {raw!r}") from None
 
 
-def _run_one(config: ExperimentConfig, seed: int, path: str) -> str:
-    log = run_experiment(config, seed)
-    write_result_csv(log, config, path)
-    return path
+def _run_one(config: ExperimentConfig, seed: int, path: str) -> None:
+    write_result_csv(run_experiment(config, seed), config, path)
+
+
+def check_existing(config: ExperimentConfig, out_dir: str) -> None:
+    """Reject any existing result file of the grid that was written under
+    another config hash or artifact version, naming the file and both."""
+    expected = (config_hash(config), __version__)
+    for seed in config.seeds:
+        path = os.path.join(out_dir, f"results_{seed}.csv")
+        if not os.path.exists(path):
+            continue
+        found = read_result_csv(path)
+        if (found.config_hash, found.artifact_version) != expected:
+            raise ConfigError(
+                f"{path} holds config_hash {found.config_hash} "
+                f"(v{found.artifact_version}), not {expected[0]} (v{expected[1]}); "
+                "move it away or choose another --out"
+            )
 
 
 def run_seed_grid(config: ExperimentConfig, out_dir: str, jobs: int) -> list[str]:
     """Run every seed whose result file does not exist yet; return all paths.
 
     Completed files are never overwritten, so an interrupted grid resumes
-    where it stopped.
+    where it stopped.  A completed file from another config or artifact
+    version is an error (see `check_existing`), never silently reused.
     """
+    check_existing(config, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in config.seeds]
     pending = [
@@ -95,62 +112,73 @@ def summarize(files: list[ResultFile]) -> dict[str, float]:
     }
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
+    """Load the config, apply `--set` settings, offset the seeds by
+    SOQAL_SEED_BASE, apply `--out`, validate, and create the output root."""
     config = load_config(args.config)
-    for setting in args.set or []:
+    for setting in settings:
         if "=" not in setting:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         key, _, value = setting.partition("=")
         config = apply_setting(config, key.strip(), value.strip())
     base = _seed_base()
-    config = replace(config, seeds=tuple(s + base for s in config.seeds))
-    if args.out:
-        config = replace(config, output_dir=args.out)
+    config = replace(
+        config,
+        seeds=tuple(s + base for s in config.seeds),
+        output_dir=args.out or config.output_dir,
+    )
     validate(config)
+    os.makedirs(config.output_dir, exist_ok=True)
+    return config
 
+
+def _run_grids(
+    variants: list[tuple[list[str], ExperimentConfig, str]],
+    columns: list[str],
+    jobs: int,
+    summary_path: str,
+    config: ExperimentConfig,
+) -> None:
+    """Run each (leading cells, config, directory) variant's seed grid and
+    write one summary row per variant.
+
+    Every variant is validated, and its existing result files checked,
+    before any runs.  The leading cells fill the first columns; the rest are
+    named from the variant's seed grid.
+    """
+    for _, cfg, out_dir in variants:
+        validate(cfg)
+        check_existing(cfg, out_dir)
+    rows = []
+    for lead, cfg, out_dir in variants:
+        files = [read_result_csv(p) for p in run_seed_grid(cfg, out_dir, jobs)]
+        cells = {k: format_float(v) for k, v in summarize(files).items()}
+        cells.update(
+            n_seeds=str(len(files)),
+            config_hash=config_hash(cfg),
+            artifact_version=__version__,
+        )
+        rows.append(lead + [cells[c] for c in columns[len(lead):]])
+    write_table(summary_path, columns, rows, provenance_comments(config))
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _prepare(args, args.set or [])
     strategies = args.strategy or [config.strategy.name]
     out_root = config.output_dir
-    os.makedirs(out_root, exist_ok=True)
-    summary_rows = []
+    variants = []
     for name in strategies:
         cfg = replace(config, strategy=replace(config.strategy, name=name))
-        validate(cfg)
         sub_dir = out_root if len(strategies) == 1 else os.path.join(out_root, name)
-        paths = run_seed_grid(cfg, sub_dir, args.jobs)
-        files = [read_result_csv(p) for p in paths]
-        stats = summarize(files)
-        summary_rows.append(
-            [
-                name,
-                str(len(files)),
-                format_float(stats["mean_test_auc"]),
-                format_float(stats["std_test_auc"]),
-                format_float(stats["mean_ask_rate"]),
-                format_float(stats["std_ask_rate"]),
-                config_hash(cfg),
-                __version__,
-            ]
-        )
-    write_table(
-        os.path.join(out_root, "summary.csv"),
-        [
-            "strategy",
-            "n_seeds",
-            "mean_test_auc",
-            "std_test_auc",
-            "mean_ask_rate",
-            "std_ask_rate",
-            "config_hash",
-            "artifact_version",
-        ],
-        summary_rows,
-        provenance_comments(config),
-    )
+        variants.append(([name], cfg, sub_dir))
+    columns = ["strategy", "n_seeds", "mean_test_auc", "std_test_auc",
+               "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
+    summary_path = os.path.join(out_root, "summary.csv")
+    _run_grids(variants, columns, args.jobs, summary_path, config)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
     if args.param not in SWEEPABLE:
         raise ConfigError(
             f"parameter {args.param!r} is not sweepable; choose from "
@@ -159,41 +187,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base = _seed_base()
-    config = replace(config, seeds=tuple(s + base for s in config.seeds))
-    if args.out:
-        config = replace(config, output_dir=args.out)
-    validate(config)
-
-    key = SWEEPABLE[args.param]
-    out_root = config.output_dir
-    os.makedirs(out_root, exist_ok=True)
-    rows = []
-    for value in values:
-        cfg = apply_setting(config, key, value)
-        validate(cfg)
-        sub_dir = os.path.join(out_root, f"sweep_{args.param}_{value}")
-        paths = run_seed_grid(cfg, sub_dir, args.jobs)
-        files = [read_result_csv(p) for p in paths]
-        stats = summarize(files)
-        rows.append(
-            [
-                args.param,
-                value,
-                format_float(stats["mean_test_auc"]),
-                format_float(stats["mean_ask_rate"]),
-                str(len(files)),
-                config_hash(cfg),
-                __version__,
-            ]
+    config = _prepare(args, [])
+    variants = [
+        (
+            [args.param, value],
+            apply_setting(config, SWEEPABLE[args.param], value),
+            os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),
         )
-    write_table(
-        os.path.join(out_root, "sweep_summary.csv"),
-        ["param", "value", "mean_test_auc", "mean_ask_rate", "n_seeds",
-         "config_hash", "artifact_version"],
-        rows,
-        provenance_comments(config),
-    )
+        for value in values
+    ]
+    columns = ["param", "value", "mean_test_auc", "mean_ask_rate", "n_seeds",
+               "config_hash", "artifact_version"]
+    summary_path = os.path.join(config.output_dir, "sweep_summary.csv")
+    _run_grids(variants, columns, args.jobs, summary_path, config)
     return 0
 
 

@@ -104,56 +104,54 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
-# key -> (getter path, setter): each setter maps the raw string into a new
-# config.  Kept explicit so "unknown key" errors can name the key.
-def _known_keys() -> dict[str, tuple]:
-    return {
-        "dataset.source": ("dataset", "source", str),
-        "dataset.kind": ("dataset", "kind", str),
-        "dataset.n": ("dataset", "n", int),
-        "dataset.classes": ("dataset", "classes", int),
-        "dataset.features": ("dataset", "features", int),
-        "dataset.separation": ("dataset", "separation", float),
-        "dataset.csv_path": ("dataset", "csv_path", str),
-        "dataset.label_column": ("dataset", "label_column", str),
-        "dataset.train_frac": ("dataset", "train_frac", float),
-        "dataset.val_frac": ("dataset", "val_frac", float),
-        "dataset.test_frac": ("dataset", "test_frac", float),
-        "network.hidden": ("network", "hidden", _parse_int_list),
-        "network.dropout": ("network", "dropout", float),
-        "gate.detached": ("network", "gate_detached", "bool"),
-        "training.epochs": ("training", "epochs", int),
-        "training.learning_rate": ("training", "learning_rate", float),
-        "training.batch_size": ("training", "batch_size", int),
-        "active_learning.T": ("active_learning", "mc_passes", int),
-        "active_learning.period": ("active_learning", "period", int),
-        "active_learning.b": ("active_learning", "b_frac", float),
-        "active_learning.init_labelled_frac": (
-            "active_learning",
-            "init_labelled_frac",
-            float,
-        ),
-        "active_learning.acquisition": ("active_learning", "acquisition", str),
-        "strategy.name": ("strategy", "name", str),
-        "strategy.S": ("strategy", "hellinger_threshold", float),
-        "strategy.S_entropy": ("strategy", "entropy_threshold", float),
-        "strategy.epsilon0": ("strategy", "epsilon0", float),
-        "strategy.epsilon.d": ("strategy", "epsilon_decay", float),
-        "oracle.kind": ("oracle", "kind", str),
-        "oracle.gamma": ("oracle", "gamma", float),
-        "oracle.embed_dims": ("oracle", "embed_dims", int),
-        "gate.chernoff_mode": (None, "chernoff_mode", str),
-        "seeds": (None, "seeds", _parse_int_list),
-        "output_dir": (None, "output_dir", str),
-    }
+# key -> (section, attribute, parser): each parser maps the raw string to
+# the field's value.  Kept explicit so "unknown key" errors can name the key.
+_KNOWN_KEYS: dict[str, tuple] = {
+    "dataset.source": ("dataset", "source", str),
+    "dataset.kind": ("dataset", "kind", str),
+    "dataset.n": ("dataset", "n", int),
+    "dataset.classes": ("dataset", "classes", int),
+    "dataset.features": ("dataset", "features", int),
+    "dataset.separation": ("dataset", "separation", float),
+    "dataset.csv_path": ("dataset", "csv_path", str),
+    "dataset.label_column": ("dataset", "label_column", str),
+    "dataset.train_frac": ("dataset", "train_frac", float),
+    "dataset.val_frac": ("dataset", "val_frac", float),
+    "dataset.test_frac": ("dataset", "test_frac", float),
+    "network.hidden": ("network", "hidden", _parse_int_list),
+    "network.dropout": ("network", "dropout", float),
+    "gate.detached": ("network", "gate_detached", "bool"),
+    "training.epochs": ("training", "epochs", int),
+    "training.learning_rate": ("training", "learning_rate", float),
+    "training.batch_size": ("training", "batch_size", int),
+    "active_learning.T": ("active_learning", "mc_passes", int),
+    "active_learning.period": ("active_learning", "period", int),
+    "active_learning.b": ("active_learning", "b_frac", float),
+    "active_learning.init_labelled_frac": (
+        "active_learning",
+        "init_labelled_frac",
+        float,
+    ),
+    "active_learning.acquisition": ("active_learning", "acquisition", str),
+    "strategy.name": ("strategy", "name", str),
+    "strategy.S": ("strategy", "hellinger_threshold", float),
+    "strategy.S_entropy": ("strategy", "entropy_threshold", float),
+    "strategy.epsilon0": ("strategy", "epsilon0", float),
+    "strategy.epsilon.d": ("strategy", "epsilon_decay", float),
+    "oracle.kind": ("oracle", "kind", str),
+    "oracle.gamma": ("oracle", "gamma", float),
+    "oracle.embed_dims": ("oracle", "embed_dims", int),
+    "gate.chernoff_mode": (None, "chernoff_mode", str),
+    "seeds": (None, "seeds", _parse_int_list),
+    "output_dir": (None, "output_dir", str),
+}
 
 
 def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
     """Return a new config with one dotted key set from its string form."""
-    known = _known_keys()
-    if key not in known:
+    if key not in _KNOWN_KEYS:
         raise ConfigError(f"unknown key: {key}")
-    section, attr, parser = known[key]
+    section, attr, parser = _KNOWN_KEYS[key]
     try:
         value = _parse_bool(raw, key) if parser == "bool" else parser(raw)
     except ConfigError:
@@ -226,9 +224,11 @@ def validate(config: ExperimentConfig) -> None:
             "dataset.train_frac/val_frac/test_frac",
         ),
     ]
+    from .oracle import ORACLE_KINDS
     from .strategy import STRATEGY_NAMES
 
     checks.append((config.strategy.name in STRATEGY_NAMES, "strategy.name"))
+    checks.append((config.oracle.kind in ORACLE_KINDS, "oracle.kind"))
     checks.append((config.dataset.kind in _dataset_kinds(config), "dataset.kind"))
     for ok, key in checks:
         if not ok:
@@ -260,7 +260,7 @@ def canonical_lines(config: ExperimentConfig, include_output_dir: bool = False) 
     experiment, not where its files land.
     """
     lines = []
-    for key, (section, attr, _) in sorted(_known_keys().items()):
+    for key, (section, attr, _) in sorted(_KNOWN_KEYS.items()):
         if key == "output_dir" and not include_output_dir:
             continue
         holder = config if section is None else getattr(config, section)

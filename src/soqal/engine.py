@@ -39,39 +39,39 @@ class PoolState:
 
     Assigned labels are the training targets; true labels live only in the
     dataset and are consulted by evaluation and oracle code, never by
-    training.
+    training.  Both arrays are indexed by dataset id.
     """
 
-    labelled_ids: list[int]
-    assigned_labels: dict[int, int]
-    sources: dict[int, str]  # "initial" | "oracle" | "self"
-    unlabelled_ids: list[int]  # kept sorted
+    labelled_ids: list[int]  # append order fixes the training permutation
+    assigned_labels: np.ndarray  # (N,) int64, -1 where none is assigned
+    unlabelled: np.ndarray  # (N,) bool
 
     @classmethod
     def from_initial(
         cls, train_ids: np.ndarray, init_ids: np.ndarray, true_labels: np.ndarray
     ) -> "PoolState":
-        init_set = set(int(i) for i in init_ids)
-        labelled = sorted(init_set)
-        unlabelled = sorted(int(i) for i in train_ids if int(i) not in init_set)
-        return cls(
-            labelled_ids=labelled,
-            assigned_labels={i: int(true_labels[i]) for i in labelled},
-            sources={i: "initial" for i in labelled},
-            unlabelled_ids=unlabelled,
-        )
+        labelled = np.unique(np.asarray(init_ids, dtype=np.int64))
+        assigned = np.full(len(true_labels), -1, dtype=np.int64)
+        assigned[labelled] = true_labels[labelled]
+        unlabelled = np.zeros(len(true_labels), dtype=bool)
+        unlabelled[train_ids] = True
+        unlabelled[labelled] = False
+        return cls(labelled.tolist(), assigned, unlabelled)
 
-    def move_to_labelled(self, instance_id: int, label: int, source: str) -> None:
-        self.unlabelled_ids.remove(instance_id)
+    @property
+    def unlabelled_ids(self) -> np.ndarray:
+        return np.flatnonzero(self.unlabelled)
+
+    def move_to_labelled(self, instance_id: int, label: int) -> None:
+        if not (0 <= instance_id < len(self.unlabelled) and self.unlabelled[instance_id]):
+            raise ValueError(f"instance {instance_id} is not in the unlabelled pool")
+        self.unlabelled[instance_id] = False
         self.labelled_ids.append(instance_id)
-        self.assigned_labels[instance_id] = int(label)
-        self.sources[instance_id] = source
+        self.assigned_labels[instance_id] = label
 
     def training_arrays(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ids = self.labelled_ids
-        x = features[ids]
-        y = np.asarray([self.assigned_labels[i] for i in ids], dtype=np.int64)
-        return x, y
+        return features[ids], self.assigned_labels[ids]
 
 
 @dataclass(frozen=True)
@@ -174,16 +174,12 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
         kind=config.oracle.kind,
         gamma=config.oracle.gamma,
         embed_dims=min(config.oracle.embed_dims, dataset.n_features),
-        seed=int(seed),
     )
     table = None
     if oracle_cfg.kind == "nn-flip":
         train_view = dataset.subset(parts.train)
         table = build_neighbor_table(
-            train_view,
-            oracle_cfg.embed_dims,
-            seed=oracle_cfg.seed,
-            instance_ids=parts.train,
+            train_view, oracle_cfg.embed_dims, instance_ids=parts.train
         )
     oracle = Oracle(oracle_cfg, dataset.n_classes, table)
 
@@ -229,11 +225,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
         val_probs, _, _ = net.forward_batch(features[parts.val])
         val_auc = _safe_auc(val_probs, val_labels)
 
-        if (
-            epoch % al.period == 0
-            and al.b_frac > 0.0
-            and pool.unlabelled_ids
-        ):
+        if epoch % al.period == 0 and al.b_frac > 0.0 and pool.unlabelled.any():
             _acquire(
                 config,
                 seed,
@@ -268,10 +260,10 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
                 beta_star=beta_star,
                 cum_ask_rate=cum_rate,
                 n_labelled=len(pool.labelled_ids),
-                n_unlabelled=len(pool.unlabelled_ids),
+                n_unlabelled=int(pool.unlabelled.sum()),
             )
         )
-        if not pool.unlabelled_ids:
+        if not pool.unlabelled.any():
             break
 
     test_probs, _, _ = net.forward_batch(features[parts.test])
@@ -296,7 +288,7 @@ def _acquire(
 ) -> None:
     """One acquisition event: score, select, question, transfer."""
     al = config.active_learning
-    candidates = list(pool.unlabelled_ids)
+    candidates = pool.unlabelled_ids.tolist()
     samples: dict[int, PosteriorSamples] = {}
 
     if al.acquisition == "random":
@@ -329,17 +321,15 @@ def _acquire(
         true_label = int(dataset.labels[instance_id])
         if decision.ask:
             assigned = oracle.label(instance_id, true_label, oracle_rng)
-            source = "oracle"
         else:
             assigned = decision.assigned_label
-            source = "self"
-        pool.move_to_labelled(instance_id, assigned, source)
+        pool.move_to_labelled(instance_id, assigned)
         log.acquisitions.append(
             AcquisitionRecord(
                 epoch=epoch,
                 acquisition_index=acquisition_index,
                 instance_id=instance_id,
-                source=source,
+                source="oracle" if decision.ask else "self",
                 assigned_label=int(assigned),
                 true_label=true_label,
             )

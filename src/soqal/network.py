@@ -52,27 +52,6 @@ def clamp_probs(p: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclass
-class Batch:
-    """One mini-batch; zero-one errors are filled in after a forward pass."""
-
-    inputs: np.ndarray  # (B, m)
-    targets: np.ndarray  # (B,) class indices
-    errors: np.ndarray | None = None  # (B,) in {0, 1}
-
-    def __post_init__(self):
-        if len(self.inputs) < 1:
-            raise ValueError("a batch needs at least one sample")
-        if len(self.inputs) != len(self.targets):
-            raise ValueError("inputs and targets disagree on batch size")
-        if np.any(np.asarray(self.targets) < 0):
-            raise ValueError("targets must be non-negative class indices")
-
-    def check_targets(self, n_classes: int) -> None:
-        if np.any(np.asarray(self.targets) >= n_classes):
-            raise ValueError(f"targets must be below {n_classes}")
-
-
-@dataclass
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
@@ -141,15 +120,6 @@ class Network:
             arrays.extend([layer.weight, layer.bias])
         return arrays
 
-    def copy(self) -> "Network":
-        return Network(
-            trunk=[Layer(l.weight.copy(), l.bias.copy()) for l in self.trunk],
-            class_head=Layer(self.class_head.weight.copy(), self.class_head.bias.copy()),
-            gate_head=Layer(self.gate_head.weight.copy(), self.gate_head.bias.copy()),
-            dropout_rate=self.dropout_rate,
-            gate_detached=self.gate_detached,
-        )
-
     def make_masks(self, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
         """One keep/drop mask per trunk layer; all-ones when dropout is off."""
         masks = []
@@ -194,24 +164,6 @@ class Network:
         cache = {"activations": activations, "pre_relu": pre_relu, "masks": masks,
                  "class_probs": class_probs, "gate": gate}
         return class_probs, gate, cache
-
-    def forward(
-        self,
-        x: np.ndarray,
-        mask_seed: int | np.random.SeedSequence | None = None,
-    ) -> tuple[np.ndarray, float]:
-        """Single-instance forward pass.
-
-        `mask_seed=None` is deterministic; otherwise one seeded dropout mask
-        is drawn (the mc-dropout mode).  Identical seeds give identical
-        outputs.
-        """
-        row = np.asarray(x, dtype=np.float64).reshape(1, -1)
-        masks = None
-        if mask_seed is not None:
-            masks = self.make_masks(1, np.random.default_rng(mask_seed))
-        probs, gate, _ = self.forward_batch(row, masks)
-        return probs[0], float(gate[0])
 
     def backward(
         self, cache: dict, targets: np.ndarray, errors: np.ndarray, beta: float
@@ -272,27 +224,6 @@ def compute_beta(errors: list[int] | np.ndarray) -> float:
     return float((e.size - wrong) / wrong)
 
 
-def joint_loss(
-    class_probs: np.ndarray,
-    gate_outputs: np.ndarray,
-    targets: np.ndarray,
-    errors: np.ndarray,
-    beta: float,
-) -> float:
-    """Summed objective over the batch; probabilities are clamped before logs."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    probs = np.asarray(class_probs, dtype=np.float64)
-    o = np.asarray(gate_outputs, dtype=np.float64)
-    t = np.asarray(targets)
-    e = np.asarray(errors, dtype=np.float64)
-    p_target = clamp_probs(probs[np.arange(len(t)), t])
-    o = clamp_probs(o)
-    class_term = -np.log(p_target)
-    gate_term = -beta * e * np.log(o) - (1.0 - e) * np.log(1.0 - o)
-    return float(np.sum(class_term + gate_term))
-
-
 def loss_terms(
     class_probs: np.ndarray,
     gate_outputs: np.ndarray,
@@ -300,7 +231,10 @@ def loss_terms(
     errors: np.ndarray,
     beta: float,
 ) -> tuple[float, float]:
-    """(summed class term, summed gate term) of the joint objective."""
+    """(summed class term, summed gate term) of the joint objective;
+    probabilities are clamped before logs."""
+    if beta < 0:
+        raise ValueError("beta must be non-negative")
     probs = np.asarray(class_probs, dtype=np.float64)
     o = clamp_probs(np.asarray(gate_outputs, dtype=np.float64))
     t = np.asarray(targets)
@@ -328,13 +262,19 @@ def train_epoch(
 ) -> EpochStats:
     """One seeded pass of mini-batch SGD over the labelled pool.
 
-    Per batch: a fresh dropout mask, zero-one errors from the current class
-    head, beta from those errors, then an in-place step along the batch-mean
-    gradient.
+    Inputs and targets are checked once: equal lengths and targets in
+    [0, C).  Per batch: a fresh dropout mask, zero-one errors from the
+    current class head, beta from those errors, then an in-place step along
+    the batch-mean gradient.
     """
     n = len(targets)
     if n == 0:
         raise ConfigError("labelled pool is empty")
+    if len(inputs) != n:
+        raise ValueError("inputs and targets disagree on batch size")
+    targets = np.asarray(targets)
+    if np.any(targets < 0) or np.any(targets >= net.n_classes):
+        raise ValueError(f"targets must lie in [0, {net.n_classes})")
     order = rng.permutation(n)
     total_class = 0.0
     total_gate = 0.0
@@ -342,20 +282,19 @@ def train_epoch(
     params = net.parameters()
     for start in range(0, n, batch_size):
         batch_idx = order[start : start + batch_size]
-        batch = Batch(inputs=inputs[batch_idx], targets=targets[batch_idx])
-        batch.check_targets(net.n_classes)
-        masks = net.make_masks(len(batch.targets), rng)
-        probs, gate, cache = net.forward_batch(batch.inputs, masks)
-        batch.errors = (probs.argmax(axis=1) != batch.targets).astype(np.float64)
-        beta = compute_beta(batch.errors)
-        class_term, gate_term = loss_terms(probs, gate, batch.targets, batch.errors, beta)
-        grads = net.backward(cache, batch.targets, batch.errors, beta)
-        scale = learning_rate / len(batch.targets)
+        x, y = inputs[batch_idx], targets[batch_idx]
+        masks = net.make_masks(len(y), rng)
+        probs, gate, cache = net.forward_batch(x, masks)
+        errors = (probs.argmax(axis=1) != y).astype(np.float64)
+        beta = compute_beta(errors)
+        class_term, gate_term = loss_terms(probs, gate, y, errors, beta)
+        grads = net.backward(cache, y, errors, beta)
+        scale = learning_rate / len(y)
         for param, grad in zip(params, grads):
             param -= scale * grad
         total_class += class_term
         total_gate += gate_term
-        total_correct += int((batch.errors == 0.0).sum())
+        total_correct += int((errors == 0.0).sum())
     return EpochStats(
         mean_class_loss=total_class / n,
         mean_gate_loss=total_gate / n,

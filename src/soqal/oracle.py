@@ -22,7 +22,6 @@ class OracleConfig:
     kind: str = "noise-free"
     gamma: float = 0.0  # flip probability
     embed_dims: int = 2  # projection dimensionality for nn-flip
-    seed: int = 0  # forwarded to the neighbour-table build
 
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
@@ -63,15 +62,12 @@ def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
 def build_neighbor_table(
     dataset: Dataset,
     embed_dims: int,
-    seed: int = 0,
     instance_ids: np.ndarray | None = None,
 ) -> NeighborTable:
     """Nearest different-class neighbour per instance, in the projected space.
 
     `instance_ids` names the dataset rows (defaults to 0..N-1) so a table
-    built over a subset keeps the caller's ids.  `seed` is part of the
-    interface for stochastic projections; the eigendecomposition used here
-    does not consume it.
+    built over a subset keeps the caller's ids.
     """
     labels = dataset.labels
     if len(np.unique(labels)) < 2:

@@ -61,7 +61,7 @@ def provenance_comments(config: ExperimentConfig) -> list[str]:
 
 
 def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> None:
-    """Write one run's log; atomic rename so partial writes never land."""
+    """Write one run's log as a provenance-commented result table."""
     try:
         final_rate = ask_rate(log)
     except UndefinedMetricError:
@@ -105,14 +105,9 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
             __version__,
         ]
     )
-    text_lines = provenance_comments(config)
-    text_lines.append(f"# stratified_split = {str(log.stratified_split).lower()}")
-    text_lines.append(",".join(RESULT_COLUMNS))
-    text_lines.extend(",".join(row) for row in rows)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(text_lines) + "\n")
-    os.replace(tmp, path)
+    comments = provenance_comments(config)
+    comments.append(f"# stratified_split = {str(log.stratified_split).lower()}")
+    write_table(path, RESULT_COLUMNS, rows, comments)
 
 
 @dataclass
@@ -122,6 +117,7 @@ class ResultFile:
     path: str
     seed: int
     config_hash: str
+    artifact_version: str
     cfg: dict[str, str]  # dotted key -> raw value, from provenance comments
     epoch_rows: list[dict[str, float]] = field(default_factory=list)
     test_auc: float = float("nan")
@@ -155,6 +151,7 @@ def read_result_csv(path: str) -> ResultFile:
                     path=path,
                     seed=int(row["seed"]),
                     config_hash=row["config_hash"],
+                    artifact_version=row["artifact_version"],
                     cfg=cfg,
                 )
             if row["epoch"] == "final":
@@ -183,6 +180,8 @@ def read_result_csv(path: str) -> ResultFile:
 def write_table(
     path: str, columns: list[str], rows: list[list[str]], comments: list[str]
 ) -> None:
+    """Write comment lines, a header and rows; atomic rename so partial
+    writes never land."""
     lines = list(comments)
     lines.append(",".join(columns))
     lines.extend(",".join(row) for row in rows)

@@ -43,7 +43,6 @@ class LabelDecision:
 
     ask: bool
     assigned_label: int | None
-    source: str  # "oracle" | "self"
 
 
 def epsilon_schedule(n: int, epsilon0: float, decay: float) -> float:
@@ -58,12 +57,10 @@ def epsilon_schedule(n: int, epsilon0: float, decay: float) -> float:
 
 
 def _self_decision(ctx: QuestionContext) -> LabelDecision:
-    return LabelDecision(
-        ask=False, assigned_label=int(np.argmax(ctx.mc_mean_probs)), source="self"
-    )
+    return LabelDecision(ask=False, assigned_label=int(np.argmax(ctx.mc_mean_probs)))
 
 
-_ASK = LabelDecision(ask=True, assigned_label=None, source="oracle")
+_ASK = LabelDecision(ask=True, assigned_label=None)
 
 
 def decide(

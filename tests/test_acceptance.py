@@ -21,7 +21,7 @@ from soqal.engine import ask_rate, run_experiment
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.acquisition import PosteriorSamples, bald_mcd
 from soqal.metrics import auc_binary
-from soqal.network import Network, joint_loss
+from soqal.network import Network, loss_terms
 
 _SUITE_START = time.monotonic()
 _RUN_CACHE: dict[tuple[str, int], object] = {}
@@ -139,10 +139,10 @@ def numeric_grads(net, x, targets, errors, beta, masks, step=1e-5):
             orig = arr[idx]
             arr[idx] = orig + step
             probs, gate, _ = net.forward_batch(x, masks)
-            up = joint_loss(probs, gate, targets, errors, beta)
+            up = sum(loss_terms(probs, gate, targets, errors, beta))
             arr[idx] = orig - step
             probs, gate, _ = net.forward_batch(x, masks)
-            down = joint_loss(probs, gate, targets, errors, beta)
+            down = sum(loss_terms(probs, gate, targets, errors, beta))
             arr[idx] = orig
             grad[idx] = (up - down) / (2.0 * step)
         grads.append(grad)

@@ -1,12 +1,18 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soqal
 from soqal.cli import main
 from soqal.results import read_result_csv
+
+EXAMPLE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "example.cfg")
 
 TINY_CONFIG = """
 dataset.kind = gaussian-blobs
@@ -22,6 +28,14 @@ def config_path(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(TINY_CONFIG)
     return str(path)
+
+
+def subprocess_env(**extra):
+    """This process's environment plus the package's import path and `extra`."""
+    env = dict(os.environ, **extra)
+    src = str(Path(soqal.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def read_table(path):
@@ -107,6 +121,48 @@ class TestRun:
         main(["run", "--config", config_path, "--out", str(out)])
         assert target.read_text() == marked
 
+    def test_stale_results_stop_the_run(self, tmp_path, capsys):
+        out = tmp_path / "stale"
+        first = ["run", "--config", EXAMPLE_CONFIG, "--set", "training.epochs=6",
+                 "--set", "seeds=0", "--out", str(out)]
+        assert main(first) == 0
+        old_hash = read_result_csv(str(out / "results_0.csv")).config_hash
+        summary = (out / "summary.csv").read_bytes()
+        capsys.readouterr()
+        second = first + ["--set", "strategy.S=0.9", "--set", "training.epochs=3"]
+        assert main(second) == 1
+        err = capsys.readouterr().err
+        assert "results_0.csv" in err
+        hashes = set(re.findall(r"\b[0-9a-f]{12}\b", err))
+        assert old_hash in hashes and len(hashes) == 2
+        assert (out / "summary.csv").read_bytes() == summary
+
+    def test_stale_variant_stops_the_grid_before_any_run(self, config_path, tmp_path):
+        out = tmp_path / "variants"
+        grid = ["run", "--config", config_path, "--strategy", "full-oracle",
+                "--strategy", "no-oracle", "--out", str(out)]
+        assert main(grid + ["--set", "seeds=0"]) == 0
+        (out / "full-oracle" / "results_0.csv").unlink()
+        assert main(grid) == 1  # no-oracle/results_0.csv is from seeds=0
+        assert not list((out / "full-oracle").iterdir())
+
+    def test_results_from_another_artifact_version_stop_the_run(
+        self, config_path, tmp_path
+    ):
+        out = tmp_path / "version"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        target = out / "results_1.csv"
+        text = target.read_text()
+        target.write_text(text.replace(f",{soqal.__version__}\n", ",0.0.0\n"))
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+
+    def test_unknown_oracle_kind_exits_one_before_writing(self, config_path, tmp_path):
+        out = tmp_path / "bogus"
+        code = main(["run", "--config", config_path, "--set", "oracle.kind=bogus",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_summary_matches_recomputation_from_seed_files(self, config_path, tmp_path):
         out = tmp_path / "sum"
         main(["run", "--config", config_path, "--set", "seeds=0,1,2", "--out", str(out)])
@@ -135,6 +191,26 @@ class TestRun:
         main(["run", "--config", config_path, "--jobs", "2", "--out", str(par)])
         for name in ("results_0.csv", "results_1.csv"):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+    def test_blas_thread_count_does_not_change_results(self, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            "dataset.n = 400\ndataset.classes = 3\ndataset.features = 3\n"
+            "network.hidden = 128,128\ntraining.epochs = 10\nseeds = 0\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "soqal.cli", "run", "--config", str(cfg),
+                 "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert result.returncode == 0, result.stderr
+            digests.append(hashlib.sha256((out / "results_0.csv").read_bytes()).digest())
+        assert digests[0] == digests[1]
 
 
 class TestResultFileSchema:
@@ -242,6 +318,7 @@ class TestEntryPoint:
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert result.returncode == 0, result.stderr
         assert (out / "summary.csv").exists()

@@ -93,6 +93,7 @@ class TestValidate:
             ("active_learning.acquisition", "vibes"),
             ("gate.chernoff_mode", "quickest"),
             ("dataset.kind", "mystery"),
+            ("oracle.kind", "telepathy"),
         ],
     )
     def test_out_of_range_values_rejected(self, key, value):

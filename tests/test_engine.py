@@ -70,21 +70,27 @@ class TestPoolState:
             true_labels=np.arange(10),
         )
         assert pool.labelled_ids == [5, 9]
-        assert pool.unlabelled_ids == [3, 7]
-        assert pool.assigned_labels == {5: 5, 9: 9}
-        assert pool.sources == {5: "initial", 9: "initial"}
+        assert pool.unlabelled_ids.tolist() == [3, 7]
+        assert pool.assigned_labels[[5, 9]].tolist() == [5, 9]
+        assert np.all(np.delete(pool.assigned_labels, [5, 9]) == -1)
 
     def test_move_preserves_conservation(self):
         pool = PoolState.from_initial(np.arange(6), np.array([0, 1]), np.zeros(6, int))
-        pool.move_to_labelled(4, label=1, source="self")
+        pool.move_to_labelled(4, label=1)
         assert 4 in pool.labelled_ids and 4 not in pool.unlabelled_ids
         assert pool.assigned_labels[4] == 1
         assert len(pool.labelled_ids) + len(pool.unlabelled_ids) == 6
+        pool.move_to_labelled(2, label=0)
+        assert pool.labelled_ids == [0, 1, 4, 2]  # append order, not sorted
+        _, y = pool.training_arrays(np.zeros((6, 1)))
+        assert y.tolist() == [0, 0, 1, 0]
 
     def test_moving_non_member_fails(self):
         pool = PoolState.from_initial(np.arange(4), np.array([0]), np.zeros(4, int))
         with pytest.raises(ValueError):
-            pool.move_to_labelled(99, 0, "self")
+            pool.move_to_labelled(99, 0)
+        with pytest.raises(ValueError):
+            pool.move_to_labelled(0, 0)  # already labelled
 
 
 class TestAskRate:

@@ -5,14 +5,19 @@ import pytest
 
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
-from soqal.network import (
-    Batch,
-    Network,
-    compute_beta,
-    joint_loss,
-    loss_terms,
-    train_epoch,
-)
+from soqal.network import Network, compute_beta, loss_terms, train_epoch
+
+
+def total_loss(*args):
+    """The summed joint objective: class term plus gate term."""
+    return sum(loss_terms(*args))
+
+
+def masked_forward(net, x, seed):
+    """One instance through one seeded dropout mask (the mc-dropout mode)."""
+    masks = net.make_masks(1, np.random.default_rng(seed))
+    probs, gate, _ = net.forward_batch(x[None], masks)
+    return probs[0], gate[0]
 
 
 def tiny_net(seed=0, dropout=0.3, n_features=4, n_classes=3, hidden=(6, 5), detached=False):
@@ -30,24 +35,24 @@ class TestForward:
     def test_no_dropout_mc_equals_deterministic(self):
         net = tiny_net(dropout=0.0)
         x = np.random.default_rng(1).standard_normal(4)
-        det_probs, det_o = net.forward(x)
+        det_probs, det_o, _ = net.forward_batch(x[None])
         for seed in range(5):
-            probs, o = net.forward(x, mask_seed=seed)
-            np.testing.assert_array_equal(probs, det_probs)
-            assert o == det_o
+            probs, o = masked_forward(net, x, seed)
+            np.testing.assert_array_equal(probs, det_probs[0])
+            assert o == det_o[0]
 
     def test_uniform_probs_with_zeroed_class_head(self):
         net = tiny_net()
         net.class_head.weight[:] = 0.0
         net.class_head.bias[:] = 0.0
-        probs, _ = net.forward(np.ones(4))
-        np.testing.assert_allclose(probs, np.full(3, 1.0 / 3.0), atol=1e-12)
+        probs, _, _ = net.forward_batch(np.ones((1, 4)))
+        np.testing.assert_allclose(probs[0], np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_same_mask_seed_gives_identical_outputs(self):
         net = tiny_net(dropout=0.5)
         x = np.random.default_rng(2).standard_normal(4)
-        first = net.forward(x, mask_seed=77)
-        second = net.forward(x, mask_seed=77)
+        first = masked_forward(net, x, 77)
+        second = masked_forward(net, x, 77)
         np.testing.assert_array_equal(first[0], second[0])
         assert first[1] == second[1]
 
@@ -63,25 +68,31 @@ class TestForward:
     def test_dimension_mismatch_raises(self):
         net = tiny_net()
         with pytest.raises(ConfigError):
-            net.forward(np.ones(5))
+            net.forward_batch(np.ones((1, 5)))
 
 
 class TestBatch:
+    """Input checks that train_epoch makes once per call."""
+
+    @staticmethod
+    def train(net, inputs, targets):
+        train_epoch(net, inputs, targets, 1e-2, 8, np.random.default_rng(0))
+
     def test_requires_at_least_one_sample(self):
-        with pytest.raises(ValueError):
-            Batch(inputs=np.zeros((0, 4)), targets=np.zeros(0, dtype=int))
+        with pytest.raises(ConfigError):
+            self.train(tiny_net(), np.zeros((0, 4)), np.zeros(0, dtype=int))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Batch(inputs=np.zeros((3, 4)), targets=np.zeros(2, dtype=int))
+            self.train(tiny_net(), np.zeros((3, 4)), np.zeros(2, dtype=int))
 
     def test_targets_checked_against_class_count(self):
-        batch = Batch(inputs=np.zeros((2, 4)), targets=np.array([0, 3]))
-        batch.check_targets(4)
+        inputs, targets = np.zeros((2, 4)), np.array([0, 3])
+        self.train(tiny_net(n_classes=4), inputs, targets)
         with pytest.raises(ValueError):
-            batch.check_targets(3)
+            self.train(tiny_net(n_classes=3), inputs, targets)
         with pytest.raises(ValueError):
-            Batch(inputs=np.zeros((1, 4)), targets=np.array([-1]))
+            self.train(tiny_net(), np.zeros((1, 4)), np.array([-1]))
 
 
 class TestComputeBeta:
@@ -102,14 +113,14 @@ class TestComputeBeta:
 class TestJointLoss:
     def test_perfect_prediction_confident_gate(self):
         probs = np.array([[1.0, 0.0]])
-        loss = joint_loss(probs, np.array([1e-15]), np.array([0]), np.array([0.0]), 1.0)
+        loss = total_loss(probs, np.array([1e-15]), np.array([0]), np.array([0.0]), 1.0)
         assert loss == pytest.approx(0.0, abs=1e-10)
 
     def test_single_sample_term_by_term(self):
         # -log(e^-1) + (-1 * 1 * log 0.5) = 1 + ln 2
         p = math.exp(-1.0)
         probs = np.array([[p, 1.0 - p]])
-        loss = joint_loss(probs, np.array([0.5]), np.array([0]), np.array([1.0]), 1.0)
+        loss = total_loss(probs, np.array([0.5]), np.array([0]), np.array([1.0]), 1.0)
         assert loss == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
 
     def test_doubling_beta_adds_misclassified_gate_term(self):
@@ -118,7 +129,7 @@ class TestJointLoss:
         o = rng.uniform(0.05, 0.95, size=8)
         targets = rng.integers(0, 3, size=8)
         errors = rng.integers(0, 2, size=8).astype(float)
-        diff = joint_loss(probs, o, targets, errors, 2.0) - joint_loss(
+        diff = total_loss(probs, o, targets, errors, 2.0) - total_loss(
             probs, o, targets, errors, 1.0
         )
         expected = -np.sum(errors * np.log(o))
@@ -131,10 +142,10 @@ class TestJointLoss:
         targets = rng.integers(0, 4, size=10)
         errors = (probs.argmax(axis=1) != targets).astype(float)
         beta = compute_beta(errors)
-        base = joint_loss(probs, o, targets, errors, beta)
+        base = total_loss(probs, o, targets, errors, beta)
         for _ in range(5):
             perm = rng.permutation(10)
-            permuted = joint_loss(probs[perm], o[perm], targets[perm], errors[perm], beta)
+            permuted = total_loss(probs[perm], o[perm], targets[perm], errors[perm], beta)
             assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_nonnegative_for_nonnegative_beta(self):
@@ -144,11 +155,11 @@ class TestJointLoss:
             o = rng.uniform(0.01, 0.99, size=5)
             targets = rng.integers(0, 3, size=5)
             errors = rng.integers(0, 2, size=5).astype(float)
-            assert joint_loss(probs, o, targets, errors, rng.uniform(0, 4)) >= 0.0
+            assert total_loss(probs, o, targets, errors, rng.uniform(0, 4)) >= 0.0
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            joint_loss(np.array([[0.5, 0.5]]), np.array([0.5]), np.array([0]),
+            total_loss(np.array([[0.5, 0.5]]), np.array([0.5]), np.array([0]),
                        np.array([0.0]), -1.0)
 
 
@@ -162,10 +173,10 @@ def _numeric_grads(net, x, targets, errors, beta, masks, step=1e-5):
             orig = arr[idx]
             arr[idx] = orig + step
             probs, gate, _ = net.forward_batch(x, masks)
-            up = joint_loss(probs, gate, targets, errors, beta)
+            up = total_loss(probs, gate, targets, errors, beta)
             arr[idx] = orig - step
             probs, gate, _ = net.forward_batch(x, masks)
-            down = joint_loss(probs, gate, targets, errors, beta)
+            down = total_loss(probs, gate, targets, errors, beta)
             arr[idx] = orig
             grad[idx] = (up - down) / (2.0 * step)
         grads.append(grad)

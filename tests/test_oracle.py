@@ -110,8 +110,8 @@ class TestNeighborTable:
 
     def test_deterministic_given_inputs(self):
         data = gen_synthetic("gaussian-blobs", 50, 2, 4, class_separation=1.0, seed=8)
-        a = build_neighbor_table(data, embed_dims=2, seed=0)
-        b = build_neighbor_table(data, embed_dims=2, seed=0)
+        a = build_neighbor_table(data, embed_dims=2)
+        b = build_neighbor_table(data, embed_dims=2)
         np.testing.assert_array_equal(a.neighbor_ids, b.neighbor_ids)
 
     def test_custom_instance_ids_are_preserved(self):

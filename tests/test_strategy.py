@@ -53,14 +53,13 @@ class TestDecide:
         rng = np.random.default_rng(0)
         for _ in range(50):
             decision = decide("full-oracle", ctx(), rng)
-            assert decision.ask and decision.source == "oracle"
+            assert decision.ask and decision.assigned_label is None
 
     def test_no_oracle_never_asks(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             decision = decide("no-oracle", ctx(probs=(0.1, 0.7, 0.2)), rng)
             assert not decision.ask
-            assert decision.source == "self"
             assert decision.assigned_label == 1
 
     def test_self_label_ties_break_to_lowest_class(self):
@@ -115,10 +114,8 @@ class TestDecide:
         for name in STRATEGY_NAMES:
             decision = decide(name, ctx(), rng)
             if decision.ask:
-                assert decision.source == "oracle"
                 assert decision.assigned_label is None
             else:
-                assert decision.source == "self"
                 assert decision.assigned_label == 0
 
     def test_unknown_strategy_rejected(self):
