@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .acquisition import (
-    PosteriorSamples,
-    bald_mcd,
-    mc_posteriors,
-    predictive_entropy,
-    select_top_b,
-)
+from .acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
 from .config import ExperimentConfig, config_hash, load_config
 from .data import Dataset, gen_synthetic, load_csv, save_csv, split, standardize
 from .engine import PoolState, ResultLog, ask_rate, run_experiment
@@ -46,7 +40,6 @@ __all__ = [
     "Oracle",
     "OracleConfig",
     "PoolState",
-    "PosteriorSamples",
     "QuestionContext",
     "ResultLog",
     "SoqalError",

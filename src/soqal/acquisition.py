@@ -7,28 +7,10 @@ matters for acquisition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network
-
-
-@dataclass(frozen=True)
-class PosteriorSamples:
-    """T stochastic softmax rows for one instance (one row per dropout mask)."""
-
-    probs: np.ndarray  # (T, C), every row sums to 1
-
-    def __post_init__(self):
-        if self.probs.ndim != 2 or self.probs.shape[0] < 1:
-            raise ValueError("need a (T, C) matrix with T >= 1")
-        if not np.allclose(self.probs.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("rows must sum to 1")
-
-    @property
-    def mean_probs(self) -> np.ndarray:
-        return self.probs.mean(axis=0)
 
 
 def instance_seed(
@@ -43,11 +25,12 @@ def mc_posteriors(
     x: np.ndarray,
     n_passes: int,
     seed: int | np.random.SeedSequence,
-) -> PosteriorSamples:
+) -> np.ndarray:
     """Run `n_passes` forward passes with independent seeded dropout masks.
 
-    All passes are drawn from one generator, so the full matrix is a pure
-    function of (network, x, n_passes, seed).
+    Returns the (T, C) softmax rows, one per mask.  All passes are drawn
+    from one generator, so the matrix is a pure function of (network, x,
+    n_passes, seed).
     """
     if n_passes < 1:
         raise ValueError("need at least one pass")
@@ -56,29 +39,29 @@ def mc_posteriors(
     tiled = np.repeat(row, n_passes, axis=0)
     masks = net.make_masks(n_passes, rng)
     probs, _, _ = net.forward_batch(tiled, masks)
-    return PosteriorSamples(probs=probs)
+    return probs
 
 
-def _entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    nz = p > 0.0
-    return float(-(p[nz] * np.log(p[nz])).sum())
+def entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy of each distribution along the last axis, with 0 log 0 = 0."""
+    probs = np.asarray(probs, dtype=np.float64)
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(axis=-1)
 
 
-def bald_mcd(samples: PosteriorSamples) -> float:
-    """Disagreement score: entropy of the mean row minus mean row entropy.
+def bald_mcd(probs: np.ndarray) -> np.ndarray:
+    """Disagreement score of each (T, C) stack in a (..., T, C) array:
+    entropy of the mean row minus mean row entropy.
 
     Non-negative by Jensen's inequality and zero exactly when all rows agree.
     """
-    mean_entropy = float(
-        np.mean([_entropy(row) for row in samples.probs])
-    )
-    return max(0.0, _entropy(samples.mean_probs) - mean_entropy)
+    mean_entropy = entropy(probs).mean(axis=-1)
+    return np.maximum(0.0, entropy(probs.mean(axis=-2)) - mean_entropy)
 
 
-def predictive_entropy(samples: PosteriorSamples) -> float:
-    """Entropy of the mean posterior, in [0, ln C]."""
-    return _entropy(samples.mean_probs)
+def predictive_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy of the mean row of each (T, C) stack, in [0, ln C]."""
+    return entropy(probs.mean(axis=-2))
 
 
 def normalized_entropy(probs: np.ndarray) -> float:
@@ -86,7 +69,7 @@ def normalized_entropy(probs: np.ndarray) -> float:
     n_classes = len(probs)
     if n_classes < 2:
         return 0.0
-    return _entropy(probs) / math.log(n_classes)
+    return float(entropy(probs)) / math.log(n_classes)
 
 
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:

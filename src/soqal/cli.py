@@ -69,10 +69,9 @@ def run_seed_grid(config: ExperimentConfig, out_dir: str, jobs: int) -> list[str
     """Run every seed whose result file does not exist yet; return all paths.
 
     Completed files are never overwritten, so an interrupted grid resumes
-    where it stopped.  A completed file from another config or artifact
-    version is an error (see `check_existing`), never silently reused.
+    where it stopped.  The caller must first reject completed files from
+    another config or artifact version with `check_existing`.
     """
-    check_existing(config, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in config.seeds]
     pending = [

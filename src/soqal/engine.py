@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import (
-    PosteriorSamples,
     bald_mcd,
     instance_seed,
     mc_posteriors,
@@ -139,20 +138,22 @@ def _safe_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         return float("nan")
 
 
-def _pool_samples(
+def _posteriors(
     net: Network,
     features: np.ndarray,
-    ids: list[int],
+    ids: np.ndarray | list[int],
     n_passes: int,
     seed: int,
     epoch: int,
-    cache: dict[int, PosteriorSamples],
-) -> None:
-    for i in ids:
-        if i not in cache:
-            cache[i] = mc_posteriors(
-                net, features[i], n_passes, instance_seed(seed, epoch, i)
-            )
+) -> np.ndarray:
+    """(len(ids), T, C) MC-dropout posteriors, one seeded stream per instance."""
+    probs = np.stack(
+        [mc_posteriors(net, features[i], n_passes, instance_seed(seed, epoch, i))
+         for i in ids]
+    )
+    if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
+        raise ValueError("posterior rows must sum to 1")
+    return probs
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
@@ -288,21 +289,21 @@ def _acquire(
 ) -> None:
     """One acquisition event: score, select, question, transfer."""
     al = config.active_learning
-    candidates = pool.unlabelled_ids.tolist()
-    samples: dict[int, PosteriorSamples] = {}
-
+    # Strategy draws consume the decision stream in instance-id order; the
+    # candidates are in id order, so sorted positions give sorted ids.
+    candidates = pool.unlabelled_ids
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
-        scores = epoch_rng.random(len(candidates))
+        rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))
+        picked = candidates[rows].tolist()
+        probs = _posteriors(net, features, picked, al.mc_passes, seed, epoch)
     else:
-        _pool_samples(net, features, candidates, al.mc_passes, seed, epoch, samples)
+        probs = _posteriors(net, features, candidates, al.mc_passes, seed, epoch)
         scorer = bald_mcd if al.acquisition == "bald-mcd" else predictive_entropy
-        scores = np.asarray([scorer(samples[i]) for i in candidates])
-
-    picked = [candidates[pos] for pos in select_top_b(scores, al.b_frac)]
-    # Strategy draws consume the decision stream in instance-id order.
-    picked.sort()
-    _pool_samples(net, features, picked, al.mc_passes, seed, epoch, samples)
+        rows = sorted(select_top_b(scorer(probs), al.b_frac))
+        picked = candidates[rows].tolist()
+        probs = probs[rows]
+    mean_probs = probs.mean(axis=1)
 
     _, gate_det, _ = net.forward_batch(features[picked])
     strat = config.strategy
@@ -311,7 +312,7 @@ def _acquire(
             acquisition_index=acquisition_index,
             gate_stats=gate_stats,
             gate_output=float(gate_det[row]),
-            mc_mean_probs=samples[instance_id].mean_probs,
+            mc_mean_probs=mean_probs[row],
             hellinger_threshold=strat.hellinger_threshold,
             entropy_threshold=strat.entropy_threshold,
             epsilon0=strat.epsilon0,

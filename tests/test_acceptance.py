@@ -19,7 +19,7 @@ from soqal.cli import main
 from soqal.config import ExperimentConfig, config_hash
 from soqal.engine import ask_rate, run_experiment
 from soqal.gate import GateStats, chernoff_bound, hellinger
-from soqal.acquisition import PosteriorSamples, bald_mcd
+from soqal.acquisition import bald_mcd
 from soqal.metrics import auc_binary
 from soqal.network import Network, loss_terms
 
@@ -112,7 +112,7 @@ def test_criterion_1_math_oracles():
             direct = -np.sum(
                 probs.mean(axis=0) * np.log(probs.mean(axis=0))
             ) - np.mean([-np.sum(row * np.log(row)) for row in probs])
-            assert abs(bald_mcd(PosteriorSamples(probs=probs)) - direct) < 1e-9
+            assert abs(bald_mcd(probs) - direct) < 1e-9
 
         for _ in range(50):
             n = int(rng.integers(4, 80))

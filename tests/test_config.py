@@ -88,6 +88,7 @@ class TestValidate:
             ("strategy.S", "1.5"),
             ("oracle.gamma", "-0.1"),
             ("active_learning.b", "2.0"),
+            ("active_learning.T", "0"),
             ("training.epochs", "0"),
             ("strategy.name", "psychic"),
             ("active_learning.acquisition", "vibes"),
