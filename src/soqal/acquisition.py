@@ -20,25 +20,30 @@ def instance_seed(
     return np.random.SeedSequence([int(base_seed), int(epoch), int(instance_id)])
 
 
+MC_BLOCK_ROWS = 320  # rows per forward call: amortises call overhead, bounds peak memory
+
+
 def mc_posteriors(
     net: Network,
-    x: np.ndarray,
+    xs: np.ndarray,
     n_passes: int,
-    seed: int | np.random.SeedSequence,
+    seeds: list[int | np.random.SeedSequence],
 ) -> np.ndarray:
-    """Run `n_passes` forward passes with independent seeded dropout masks.
+    """(N, T, C) softmax rows of `n_passes` dropout passes over each row of xs (N, m).
 
-    Returns the (T, C) softmax rows, one per mask.  All passes are drawn
-    from one generator, so the matrix is a pure function of (network, x,
-    n_passes, seed).
+    Instance i draws its masks from one generator seeded by `seeds[i]`, so its
+    rows do not depend on which instances share its forward call.
     """
     if n_passes < 1:
         raise ValueError("need at least one pass")
-    rng = np.random.default_rng(seed)
-    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    tiled = np.repeat(row, n_passes, axis=0)
-    masks = net.make_masks(n_passes, rng)
-    probs, _, _ = net.forward_batch(tiled, masks)
+    probs = np.empty((len(xs), n_passes, net.n_classes))
+    per_block = max(1, MC_BLOCK_ROWS // n_passes)
+    for start in range(0, len(xs), per_block):
+        stop = start + per_block
+        drawn = [net.make_masks(n_passes, np.random.default_rng(s)) for s in seeds[start:stop]]
+        masks = [np.concatenate(layer) for layer in zip(*drawn)]
+        block, _, _ = net.forward_batch(np.repeat(xs[start:stop], n_passes, axis=0), masks)
+        probs[start:stop] = block.reshape(-1, n_passes, net.n_classes)
     return probs
 
 

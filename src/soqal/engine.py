@@ -147,10 +147,8 @@ def _posteriors(
     epoch: int,
 ) -> np.ndarray:
     """(len(ids), T, C) MC-dropout posteriors, one seeded stream per instance."""
-    probs = np.stack(
-        [mc_posteriors(net, features[i], n_passes, instance_seed(seed, epoch, i))
-         for i in ids]
-    )
+    seeds = [instance_seed(seed, epoch, i) for i in ids]
+    probs = mc_posteriors(net, features[ids], n_passes, seeds)
     if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
         raise ValueError("posterior rows must sum to 1")
     return probs
@@ -295,14 +293,13 @@ def _acquire(
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
         rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))
-        picked = candidates[rows].tolist()
-        probs = _posteriors(net, features, picked, al.mc_passes, seed, epoch)
+        probs = _posteriors(net, features, candidates[rows], al.mc_passes, seed, epoch)
     else:
         probs = _posteriors(net, features, candidates, al.mc_passes, seed, epoch)
         scorer = bald_mcd if al.acquisition == "bald-mcd" else predictive_entropy
         rows = sorted(select_top_b(scorer(probs), al.b_frac))
-        picked = candidates[rows].tolist()
         probs = probs[rows]
+    picked = candidates[rows].tolist()
     mean_probs = probs.mean(axis=1)
 
     _, gate_det, _ = net.forward_batch(features[picked])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
+from soqal import acquisition
 from soqal.acquisition import (
     bald_mcd,
     instance_seed,
@@ -23,24 +26,34 @@ def make_net(dropout, seed=0):
     return Network.initialize(3, 4, [8], dropout_rate=dropout, seed=seed)
 
 
+def reference_posteriors(net, xs, n_passes, seed, epoch, ids):
+    """Per-instance MC passes: one seeded mask draw and one forward per id."""
+    rows = []
+    for x, i in zip(xs, ids):
+        masks = net.make_masks(n_passes, np.random.default_rng(instance_seed(seed, epoch, i)))
+        probs, _, _ = net.forward_batch(np.repeat(x[None], n_passes, axis=0), masks)
+        rows.append(probs)
+    return np.stack(rows)
+
+
 class TestMcPosteriors:
     def test_no_dropout_rows_identical(self):
         net = make_net(0.0)
-        probs = mc_posteriors(net, np.ones(3), n_passes=7, seed=1)
+        probs = mc_posteriors(net, np.ones((1, 3)), n_passes=7, seeds=[1])[0]
         np.testing.assert_array_equal(probs, np.tile(probs[0], (7, 1)))
 
     def test_same_seed_same_matrix(self):
         net = make_net(0.4)
-        x = np.random.default_rng(2).standard_normal(3)
-        a = mc_posteriors(net, x, n_passes=20, seed=9)
-        b = mc_posteriors(net, x, n_passes=20, seed=9)
+        x = np.random.default_rng(2).standard_normal((1, 3))
+        a = mc_posteriors(net, x, n_passes=20, seeds=[9])
+        b = mc_posteriors(net, x, n_passes=20, seeds=[9])
         np.testing.assert_array_equal(a, b)
 
     def test_rows_are_distributions(self):
         net = make_net(0.5)
-        probs = mc_posteriors(net, np.ones(3), n_passes=20, seed=3)
-        assert probs.shape == (20, 4)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        probs = mc_posteriors(net, np.ones((1, 3)), n_passes=20, seeds=[3])
+        assert probs.shape == (1, 20, 4)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_instance_seed_is_reproducible_and_distinct(self):
         assert instance_seed(1, 2, 3).entropy == instance_seed(1, 2, 3).entropy
@@ -48,7 +61,41 @@ class TestMcPosteriors:
 
     def test_zero_passes_rejected(self):
         with pytest.raises(ValueError):
-            mc_posteriors(make_net(0.3), np.ones(3), n_passes=0, seed=0)
+            mc_posteriors(make_net(0.3), np.ones((1, 3)), n_passes=0, seeds=[0])
+
+
+PASSES = 20
+BLOCK = acquisition.MC_BLOCK_ROWS // PASSES  # instances per forward call
+
+
+def pool_net(dropout):
+    return Network.initialize(5, 3, [16, 12], dropout_rate=dropout, seed=4)
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_matches_per_instance_reference(self, n, dropout):
+        net = pool_net(dropout)
+        xs = np.random.default_rng(n).standard_normal((n, 5))
+        ids = list(range(10, 10 + 3 * n, 3))
+        seeds = [instance_seed(7, 5, i) for i in ids]
+        np.testing.assert_array_equal(
+            mc_posteriors(net, xs, PASSES, seeds),
+            reference_posteriors(net, xs, PASSES, 7, 5, ids),
+        )
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.permutations(range(2 * BLOCK + 3)), st.integers(1, 2 * BLOCK + 3))
+    def test_rows_do_not_depend_on_block_mates(self, order, size):
+        net = pool_net(0.4)
+        xs = np.random.default_rng(0).standard_normal((2 * BLOCK + 3, 5))
+        seeds = [instance_seed(3, 1, i) for i in range(len(xs))]
+        full = mc_posteriors(net, xs, PASSES, seeds)
+        ids = order[:size]
+        np.testing.assert_array_equal(
+            mc_posteriors(net, xs[ids], PASSES, [seeds[i] for i in ids]), full[ids]
+        )
 
 
 class TestBaldMcd:

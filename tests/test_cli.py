@@ -192,6 +192,19 @@ class TestRun:
         for name in ("results_0.csv", "results_1.csv"):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
+    def test_forward_block_size_does_not_change_results(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "dropout.cfg"
+        cfg.write_text(TINY_CONFIG + "network.dropout = 0.4\nactive_learning.T = 7\n")
+        digests = []
+        for block_rows in (7, 120 * 7 + 1):  # one instance per block; one block per pool
+            monkeypatch.setattr(soqal.acquisition, "MC_BLOCK_ROWS", block_rows)
+            out = tmp_path / f"rows{block_rows}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            digests.append(
+                [hashlib.sha256((out / f"results_{s}.csv").read_bytes()).digest() for s in (0, 1)]
+            )
+        assert digests[0] == digests[1]
+
     def test_blas_thread_count_does_not_change_results(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(

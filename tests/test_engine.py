@@ -5,7 +5,7 @@ import pytest
 from dataclasses import astuple, replace
 
 import soqal.engine
-from soqal.acquisition import instance_seed, mc_posteriors
+from soqal.acquisition import instance_seed
 from soqal.config import ExperimentConfig
 from soqal.engine import (
     AcquisitionRecord,
@@ -104,12 +104,16 @@ class TestPosteriors:
         probs = soqal.engine._posteriors(net, features, ids, 5, seed=7, epoch=2)
         assert probs.shape == (3, 5, 4)
         for row, i in zip(probs, ids):
-            expected = mc_posteriors(net, features[i], 5, instance_seed(7, 2, i))
+            rng = np.random.default_rng(instance_seed(7, 2, i))
+            tiled = np.repeat(features[i][None], 5, axis=0)
+            expected, _, _ = net.forward_batch(tiled, net.make_masks(5, rng))
             np.testing.assert_array_equal(row, expected)
 
     def test_rows_must_sum_to_one(self, monkeypatch):
         monkeypatch.setattr(
-            soqal.engine, "mc_posteriors", lambda *args: np.array([[0.5, 0.4]])
+            soqal.engine,
+            "mc_posteriors",
+            lambda *args: np.array([[[0.5, 0.5]], [[0.5, 0.4]]]),
         )
         net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
         with pytest.raises(ValueError, match="sum to 1"):

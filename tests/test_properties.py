@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
-from scipy.stats import norm
+from scipy.stats import norm, rankdata
 
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
 from soqal.data import _largest_remainder
 from soqal.gate import GateStats, chernoff_bound, hellinger
-from soqal.metrics import auc_binary
+from soqal.metrics import _midranks, auc_binary
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -67,6 +67,13 @@ def test_auc_binary_equals_concordance_count(pairs):
     ties = (pos[:, None] == neg[None, :]).sum()
     expected = (wins + 0.5 * ties) / (len(pos) * len(neg))
     assert math.isclose(auc_binary(scores, positives), expected, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(arrays(np.int64, st.integers(1, 80), elements=st.integers(0, 6)))
+def test_midranks_equal_scipy_average_ranks(values):
+    values = values.astype(np.float64)  # few distinct values: many ties
+    np.testing.assert_array_equal(_midranks(values), rankdata(values, method="average"))
 
 
 @PROPERTY
