@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
 from .config import ExperimentConfig, config_hash, load_config
-from .data import Dataset, gen_synthetic, load_csv, save_csv, split, standardize
+from .data import Dataset, gen_synthetic, load_csv, split, standardize
 from .engine import PoolState, ResultLog, ask_rate, run_experiment
 from .errors import (
     ConfigError,
@@ -23,7 +23,7 @@ from .gate import (
 )
 from .metrics import auc_binary, auc_ovr
 from .network import Network, compute_beta, train_epoch
-from .oracle import NeighborTable, Oracle, OracleConfig, build_neighbor_table
+from .oracle import Oracle, build_neighbor_table
 from .strategy import LabelDecision, QuestionContext, decide, epsilon_schedule
 
 __all__ = [
@@ -35,10 +35,8 @@ __all__ = [
     "GateNotReadyError",
     "GateStats",
     "LabelDecision",
-    "NeighborTable",
     "Network",
     "Oracle",
-    "OracleConfig",
     "PoolState",
     "QuestionContext",
     "ResultLog",
@@ -63,7 +61,6 @@ __all__ = [
     "mc_posteriors",
     "predictive_entropy",
     "run_experiment",
-    "save_csv",
     "select_top_b",
     "split",
     "standardize",

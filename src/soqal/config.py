@@ -253,23 +253,17 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def canonical_lines(config: ExperimentConfig, include_output_dir: bool = False) -> list[str]:
-    """Sorted ``key = value`` lines covering every known key.
-
-    The output directory is excluded by default so the hash identifies the
-    experiment, not where its files land.
+def canonical_lines(config: ExperimentConfig) -> list[str]:
+    """Sorted ``key = value`` lines covering every known key but the output
+    directory, so the hash identifies the experiment, not where its files land.
     """
     lines = []
     for key, (section, attr, _) in sorted(_KNOWN_KEYS.items()):
-        if key == "output_dir" and not include_output_dir:
+        if key == "output_dir":
             continue
         holder = config if section is None else getattr(config, section)
         lines.append(f"{key} = {_format_value(getattr(holder, attr))}")
     return lines
-
-
-def serialize(config: ExperimentConfig) -> str:
-    return "\n".join(canonical_lines(config, include_output_dir=True)) + "\n"
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -29,7 +29,6 @@ class Dataset:
     features: np.ndarray  # (N, m) float64
     labels: np.ndarray  # (N,) int64, values in [0, n_classes)
     n_classes: int
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -50,16 +49,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """View of the given rows as a new Dataset (class count unchanged)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
-            n_classes=self.n_classes,
-            feature_names=self.feature_names,
-        )
 
 
 @dataclass(frozen=True)
@@ -167,7 +156,6 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         if label_column not in header:
             raise DataLoadError(f"missing label column {label_column!r} in {path}")
         label_pos = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_pos)
 
         rows: list[list[float]] = []
         label_values: list[int] = []
@@ -195,20 +183,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         features=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(label_values, dtype=np.int64),
         n_classes=len(label_map),
-        feature_names=feature_names,
     )
-
-
-def save_csv(dataset: Dataset, path: str, label_column: str = "label") -> None:
-    """Write a dataset as a headed CSV (features as repr floats, labels as ints)."""
-    names = dataset.feature_names or tuple(
-        f"x{i}" for i in range(dataset.n_features)
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 def _largest_remainder(total: int, fractions: list[float]) -> list[int]:

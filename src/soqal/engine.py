@@ -28,7 +28,7 @@ from .errors import ConfigError, UndefinedMetricError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
 from .metrics import auc_ovr
 from .network import Network, train_epoch
-from .oracle import Oracle, OracleConfig, build_neighbor_table
+from .oracle import Oracle, build_neighbor_table
 from .strategy import QuestionContext, decide
 
 
@@ -169,18 +169,11 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     )
     features = standardize(dataset.features, parts.train)
 
-    oracle_cfg = OracleConfig(
-        kind=config.oracle.kind,
-        gamma=config.oracle.gamma,
-        embed_dims=min(config.oracle.embed_dims, dataset.n_features),
-    )
     table = None
-    if oracle_cfg.kind == "nn-flip":
-        train_view = dataset.subset(parts.train)
-        table = build_neighbor_table(
-            train_view, oracle_cfg.embed_dims, instance_ids=parts.train
-        )
-    oracle = Oracle(oracle_cfg, dataset.n_classes, table)
+    if config.oracle.kind == "nn-flip":
+        embed_dims = min(config.oracle.embed_dims, dataset.n_features)
+        table = build_neighbor_table(dataset, embed_dims, parts.train)
+    oracle = Oracle(config.oracle, dataset.n_classes, table)
 
     net_rng = np.random.default_rng(net_ss)
     net = Network.initialize(

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import OracleSection
 from .data import Dataset
 from .errors import ConfigError
 
@@ -18,33 +19,27 @@ ORACLE_KINDS = ("noise-free", "random-flip", "nn-flip")
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    kind: str = "noise-free"
-    gamma: float = 0.0  # flip probability
-    embed_dims: int = 2  # projection dimensionality for nn-flip
-
-    def __post_init__(self):
-        if self.kind not in ORACLE_KINDS:
-            raise ConfigError(f"unknown oracle kind: {self.kind}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
-        if self.embed_dims < 1:
-            raise ConfigError("embed_dims must be >= 1")
-
-
-@dataclass(frozen=True)
 class NeighborTable:
-    """For each covered instance, the nearest instance of a different class."""
+    """Instances projected onto principal components, searched on demand."""
 
-    instance_ids: np.ndarray  # ids the table covers, sorted
-    neighbor_ids: np.ndarray  # aligned with instance_ids
-    neighbor_labels: np.ndarray  # true class of each neighbour
+    ids: np.ndarray  # (n,) instance id of each row
+    coords: np.ndarray  # (n, k) projected features
+    labels: np.ndarray  # (n,) true class of each row
 
-    def neighbor_label(self, instance_id: int) -> int:
-        pos = np.searchsorted(self.instance_ids, instance_id)
-        if pos >= len(self.instance_ids) or self.instance_ids[pos] != instance_id:
+    def neighbor_row(self, instance_id: int) -> int:
+        """Row of the nearest different-class instance to `instance_id`.
+
+        Distances are squared Euclidean in the projection; ties go to the
+        lowest row.
+        """
+        rows = np.flatnonzero(self.ids == instance_id)
+        if not len(rows):
             raise ConfigError(f"instance {instance_id} not in neighbour table")
-        return int(self.neighbor_labels[pos])
+        row = rows[0]
+        other = self.labels != self.labels[row]
+        diffs = self.coords[other] - self.coords[row]
+        distances = np.einsum("ij,ij->i", diffs, diffs)
+        return int(np.flatnonzero(other)[int(np.argmin(distances))])
 
 
 def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
@@ -60,40 +55,15 @@ def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
 
 
 def build_neighbor_table(
-    dataset: Dataset,
-    embed_dims: int,
-    instance_ids: np.ndarray | None = None,
+    dataset: Dataset, embed_dims: int, instance_ids: np.ndarray
 ) -> NeighborTable:
-    """Nearest different-class neighbour per instance, in the projected space.
-
-    `instance_ids` names the dataset rows (defaults to 0..N-1) so a table
-    built over a subset keeps the caller's ids.
-    """
-    labels = dataset.labels
+    """Project the rows `instance_ids` of `dataset` onto their own top
+    principal components; each row keeps its dataset index as its id."""
+    ids = np.asarray(instance_ids, dtype=np.int64)
+    labels = dataset.labels[ids]
     if len(np.unique(labels)) < 2:
         raise ConfigError("neighbour table needs at least two classes present")
-    projected = pca_project(dataset.features, embed_dims)
-    ids = (
-        np.arange(dataset.n_instances, dtype=np.int64)
-        if instance_ids is None
-        else np.asarray(instance_ids, dtype=np.int64)
-    )
-    if len(ids) != dataset.n_instances:
-        raise ConfigError("instance_ids must match the dataset length")
-
-    neighbor_rows = np.empty(dataset.n_instances, dtype=np.int64)
-    for row in range(dataset.n_instances):
-        other = labels != labels[row]
-        diffs = projected[other] - projected[row]
-        distances = np.einsum("ij,ij->i", diffs, diffs)
-        neighbor_rows[row] = np.flatnonzero(other)[int(np.argmin(distances))]
-
-    order = np.argsort(ids, kind="stable")
-    return NeighborTable(
-        instance_ids=ids[order],
-        neighbor_ids=ids[neighbor_rows][order],
-        neighbor_labels=labels[neighbor_rows][order].astype(np.int64),
-    )
+    return NeighborTable(ids, pca_project(dataset.features[ids], embed_dims), labels)
 
 
 class Oracle:
@@ -101,10 +71,12 @@ class Oracle:
 
     def __init__(
         self,
-        config: OracleConfig,
+        config: OracleSection,
         n_classes: int,
         neighbor_table: NeighborTable | None = None,
     ):
+        if config.kind not in ORACLE_KINDS:
+            raise ConfigError(f"unknown oracle kind: {config.kind}")
         if config.kind == "nn-flip" and neighbor_table is None:
             raise ConfigError("nn-flip oracle needs a neighbour table")
         self.config = config
@@ -127,4 +99,5 @@ class Oracle:
         if kind == "random-flip":
             offset = int(rng.integers(0, self.n_classes - 1))
             return offset if offset < true_label else offset + 1
-        return self.neighbor_table.neighbor_label(instance_id)
+        table = self.neighbor_table
+        return int(table.labels[table.neighbor_row(instance_id)])

@@ -3,9 +3,9 @@ import pytest
 from soqal.config import (
     ExperimentConfig,
     apply_setting,
+    canonical_lines,
     config_hash,
     parse_config_text,
-    serialize,
     validate,
 )
 from soqal.errors import ConfigError
@@ -76,7 +76,7 @@ class TestParsing:
     def test_serialize_round_trip(self):
         cfg = apply_setting(ExperimentConfig(), "strategy.S", "0.35")
         cfg = apply_setting(cfg, "oracle.kind", "random-flip")
-        again = parse_config_text(serialize(cfg))
+        again = parse_config_text("\n".join(canonical_lines(cfg)))
         assert again == cfg
 
 
@@ -95,6 +95,8 @@ class TestValidate:
             ("gate.chernoff_mode", "quickest"),
             ("dataset.kind", "mystery"),
             ("oracle.kind", "telepathy"),
+            ("oracle.gamma", "1.5"),
+            ("oracle.embed_dims", "0"),
         ],
     )
     def test_out_of_range_values_rejected(self, key, value):
@@ -116,4 +118,5 @@ class TestHash:
 
     def test_reparse_preserves_hash(self):
         cfg = apply_setting(ExperimentConfig(), "oracle.gamma", "0.8")
-        assert config_hash(parse_config_text(serialize(cfg))) == config_hash(cfg)
+        again = parse_config_text("\n".join(canonical_lines(cfg)))
+        assert config_hash(again) == config_hash(cfg)

@@ -7,6 +7,7 @@ from dataclasses import astuple, replace
 import soqal.engine
 from soqal.acquisition import instance_seed
 from soqal.config import ExperimentConfig
+from soqal.data import split
 from soqal.engine import (
     AcquisitionRecord,
     EpochRecord,
@@ -17,6 +18,7 @@ from soqal.engine import (
 )
 from soqal.errors import UndefinedMetricError
 from soqal.network import Network
+from soqal.oracle import pca_project
 
 
 def tiny_config(strategy_name="full-oracle", epochs=20, **overrides):
@@ -234,9 +236,30 @@ class TestRunExperiment:
 
     def test_nn_flip_oracle_runs(self):
         cfg = tiny_config("full-oracle", epochs=10,
+                          dataset={"classes": 3, "features": 3, "separation": 1.0},
+                          active_learning={"b_frac": 0.2, "period": 2},
                           oracle={"kind": "nn-flip", "gamma": 1.0})
         log = run_experiment(cfg, seed=13)
+        assert log.acquisitions
         assert all(r.assigned_label != r.true_label for r in log.acquisitions)
+
+        # Rebuild the run's data and split, then search the projection of
+        # the raw train features by brute force.
+        synth_ss, split_ss = np.random.SeedSequence(13).spawn(5)[:2]
+        dataset = soqal.engine._build_dataset(cfg, synth_ss)
+        d = cfg.dataset
+        parts = split(dataset, (d.train_frac, d.val_frac, d.test_frac), split_ss,
+                      init_labelled_frac=cfg.active_learning.init_labelled_frac)
+        projected = pca_project(dataset.features[parts.train], 2)
+        labels = dataset.labels[parts.train]
+        for r in log.acquisitions:
+            row = int(np.flatnonzero(parts.train == r.instance_id)[0])
+            best, best_dist = None, np.inf
+            for j in range(len(labels)):
+                dist = float(np.sum((projected[row] - projected[j]) ** 2))
+                if labels[j] != labels[row] and dist < best_dist:
+                    best, best_dist = j, dist
+            assert r.assigned_label == labels[best]
 
     def test_random_and_entropy_acquisition_run(self):
         for name in ("random", "entropy"):

@@ -14,6 +14,7 @@ from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
 from soqal.data import _largest_remainder
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.metrics import _midranks, auc_binary
+from soqal.oracle import NeighborTable
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -113,3 +114,26 @@ def test_bald_nonnegative_and_entropy_within_log_c(raw):
     probs = raw / raw.sum(axis=1, keepdims=True)
     assert bald_mcd(probs) >= 0.0
     assert 0.0 <= predictive_entropy(probs) <= math.log(probs.shape[1]) + 1e-12
+
+
+neighbor_cases = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(
+        arrays(np.int64, (n, 2), elements=st.integers(-3, 3)),  # exact distances
+        arrays(np.int64, n, elements=st.integers(0, 2)),
+        st.permutations(range(7, 7 + 3 * n, 3)),  # shuffled, non-contiguous ids
+    )
+)
+
+
+@PROPERTY
+@given(neighbor_cases)
+def test_neighbor_row_is_lowest_row_at_minimum_distance(case):
+    coords, labels, ids = case
+    labels[0], labels[1] = 0, 1  # at least two classes
+    table = NeighborTable(np.array(ids), coords.astype(np.float64), labels)
+    for row, instance_id in enumerate(ids):
+        dist = ((coords - coords[row]) ** 2).sum(axis=1)
+        other = labels != labels[row]
+        nearest = dist[other].min()
+        expected = min(j for j in range(len(ids)) if other[j] and dist[j] == nearest)
+        assert table.neighbor_row(instance_id) == expected
