@@ -24,7 +24,7 @@ from .gate import (
 from .metrics import auc_binary, auc_ovr
 from .network import Network, compute_beta, train_epoch
 from .oracle import Oracle, build_neighbor_table
-from .strategy import LabelDecision, QuestionContext, decide, epsilon_schedule
+from .strategy import decide, epsilon_schedule
 
 __all__ = [
     "ChernoffResult",
@@ -34,11 +34,9 @@ __all__ = [
     "ExperimentConfig",
     "GateNotReadyError",
     "GateStats",
-    "LabelDecision",
     "Network",
     "Oracle",
     "PoolState",
-    "QuestionContext",
     "ResultLog",
     "SoqalError",
     "UndefinedMetricError",

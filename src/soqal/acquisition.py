@@ -69,14 +69,6 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     return entropy(probs.mean(axis=-2))
 
 
-def normalized_entropy(probs: np.ndarray) -> float:
-    """Entropy of a distribution scaled by ln C, so the range is [0, 1]."""
-    n_classes = len(probs)
-    if n_classes < 2:
-        return 0.0
-    return float(entropy(probs)) / math.log(n_classes)
-
-
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:
     """Indices of the ceil(b_frac * N) highest scores, ties to lower index."""
     if not 0.0 < b_frac <= 1.0:

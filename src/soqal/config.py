@@ -187,6 +187,7 @@ def validate(config: ExperimentConfig) -> None:
     """Reject out-of-range values with the offending key in the message."""
     checks = [
         (config.dataset.source in ("synthetic", "csv"), "dataset.source"),
+        (config.dataset.source != "csv" or config.dataset.csv_path != "", "dataset.csv_path"),
         (config.dataset.n >= 10 * config.dataset.classes, "dataset.n"),
         (config.dataset.classes >= 2, "dataset.classes"),
         (0.0 <= config.network.dropout < 1.0, "network.dropout"),

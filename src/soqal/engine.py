@@ -22,14 +22,14 @@ from .acquisition import (
     predictive_entropy,
     select_top_b,
 )
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash, validate
 from .data import Dataset, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError, UndefinedMetricError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
 from .metrics import auc_ovr
 from .network import Network, train_epoch
 from .oracle import Oracle, build_neighbor_table
-from .strategy import QuestionContext, decide
+from .strategy import decide
 
 
 @dataclass
@@ -125,8 +125,6 @@ def ask_rate(log: ResultLog) -> float:
 def _build_dataset(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Dataset:
     d = config.dataset
     if d.source == "csv":
-        if not d.csv_path:
-            raise ConfigError("dataset.csv_path is required when dataset.source = csv")
         return load_csv(d.csv_path, d.label_column)
     return gen_synthetic(d.kind, d.n, d.classes, d.features, d.separation, seed_seq)
 
@@ -156,6 +154,7 @@ def _posteriors(
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     """Run one experiment; deterministic given (config, seed)."""
+    validate(config)
     root = np.random.SeedSequence(int(seed))
     synth_ss, split_ss, net_ss, decision_ss, oracle_ss = root.spawn(5)
 
@@ -293,35 +292,24 @@ def _acquire(
         rows = sorted(select_top_b(scorer(probs), al.b_frac))
         probs = probs[rows]
     picked = candidates[rows].tolist()
-    mean_probs = probs.mean(axis=1)
 
     _, gate_det, _ = net.forward_batch(features[picked])
-    strat = config.strategy
-    for row, instance_id in enumerate(picked):
-        ctx = QuestionContext(
-            acquisition_index=acquisition_index,
-            gate_stats=gate_stats,
-            gate_output=float(gate_det[row]),
-            mc_mean_probs=mean_probs[row],
-            hellinger_threshold=strat.hellinger_threshold,
-            entropy_threshold=strat.entropy_threshold,
-            epsilon0=strat.epsilon0,
-            epsilon_decay=strat.epsilon_decay,
-        )
-        decision = decide(strat.name, ctx, decision_rng)
+    labels = decide(
+        config.strategy, acquisition_index, gate_stats, gate_det, probs.mean(axis=1), decision_rng
+    )
+    for instance_id, label in zip(picked, labels.tolist()):
         true_label = int(dataset.labels[instance_id])
-        if decision.ask:
-            assigned = oracle.label(instance_id, true_label, oracle_rng)
-        else:
-            assigned = decision.assigned_label
-        pool.move_to_labelled(instance_id, assigned)
+        asked = label < 0
+        if asked:
+            label = oracle.label(instance_id, true_label, oracle_rng)
+        pool.move_to_labelled(instance_id, label)
         log.acquisitions.append(
             AcquisitionRecord(
                 epoch=epoch,
                 acquisition_index=acquisition_index,
                 instance_id=instance_id,
-                source="oracle" if decision.ask else "self",
-                assigned_label=int(assigned),
+                source="oracle" if asked else "self",
+                assigned_label=int(label),
                 true_label=true_label,
             )
         )

@@ -16,25 +16,16 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .config import ExperimentConfig, canonical_lines, config_hash
-from .engine import ResultLog, ask_rate
+from .engine import EpochRecord, ResultLog, ask_rate
 from .errors import DataLoadError, UndefinedMetricError
 
 RESULT_COLUMNS = [
     "seed",
-    "epoch",
-    "train_loss",
-    "gate_loss",
-    "val_auc",
-    "d_hellinger",
-    "chernoff_bound",
-    "beta_star",
-    "cum_ask_rate",
-    "n_labelled",
-    "n_unlabelled",
+    *(f.name for f in fields(EpochRecord)),
     "test_auc",
     "config_hash",
     "artifact_version",
@@ -49,6 +40,15 @@ def format_float(value: float) -> str:
 
 def _parse_float(cell: str) -> float:
     return float("nan") if cell == "" else float(cell)
+
+
+def _epoch_cells(rec: EpochRecord) -> list[str]:
+    """One cell per EpochRecord field: ints with str, floats with format_float."""
+    cells = []
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        cells.append(str(value) if f.type in (int, "int") else format_float(value))
+    return cells
 
 
 def provenance_comments(config: ExperimentConfig) -> list[str]:
@@ -66,40 +66,21 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
         final_rate = ask_rate(log)
     except UndefinedMetricError:
         final_rate = float("nan")
-    rows = []
-    for rec in log.epochs:
-        rows.append(
-            [
-                str(log.seed),
-                str(rec.epoch),
-                format_float(rec.train_loss),
-                format_float(rec.gate_loss),
-                format_float(rec.val_auc),
-                format_float(rec.d_hellinger),
-                format_float(rec.chernoff_bound),
-                format_float(rec.beta_star),
-                format_float(rec.cum_ask_rate),
-                str(rec.n_labelled),
-                str(rec.n_unlabelled),
-                "",
-                log.config_hash,
-                __version__,
-            ]
-        )
+    rows = [
+        [str(log.seed), *_epoch_cells(rec), "", log.config_hash, __version__]
+        for rec in log.epochs
+    ]
     last = log.epochs[-1]
+    final = {
+        "epoch": "final",
+        "cum_ask_rate": format_float(final_rate),
+        "n_labelled": str(last.n_labelled),
+        "n_unlabelled": str(last.n_unlabelled),
+    }
     rows.append(
         [
             str(log.seed),
-            "final",
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-            format_float(final_rate),
-            str(last.n_labelled),
-            str(last.n_unlabelled),
+            *(final.get(f.name, "") for f in fields(EpochRecord)),
             format_float(log.test_auc),
             log.config_hash,
             __version__,
@@ -159,18 +140,7 @@ def read_result_csv(path: str) -> ResultFile:
                 out.final_ask_rate = _parse_float(row["cum_ask_rate"])
             else:
                 out.epoch_rows.append(
-                    {
-                        "epoch": float(row["epoch"]),
-                        "train_loss": _parse_float(row["train_loss"]),
-                        "gate_loss": _parse_float(row["gate_loss"]),
-                        "val_auc": _parse_float(row["val_auc"]),
-                        "d_hellinger": _parse_float(row["d_hellinger"]),
-                        "chernoff_bound": _parse_float(row["chernoff_bound"]),
-                        "beta_star": _parse_float(row["beta_star"]),
-                        "cum_ask_rate": _parse_float(row["cum_ask_rate"]),
-                        "n_labelled": float(row["n_labelled"]),
-                        "n_unlabelled": float(row["n_unlabelled"]),
-                    }
+                    {f.name: _parse_float(row[f.name]) for f in fields(EpochRecord)}
                 )
     if out is None or header is None:
         raise DataLoadError(f"no result rows in {path}")

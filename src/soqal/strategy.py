@@ -1,16 +1,17 @@
 """The five questioning strategies behind one decision interface.
 
-Each strategy sees the same per-instance context and answers one question:
-request a label from the oracle, or assign the network's own prediction.
+Each acquisition event asks one question of every picked instance: request
+a label from the oracle, or assign the network's own prediction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .acquisition import normalized_entropy
+from .acquisition import entropy
+from .config import StrategyConfig
 from .gate import GateStats, decide_ask
 
 STRATEGY_NAMES = (
@@ -20,29 +21,6 @@ STRATEGY_NAMES = (
     "soqal",
     "full-oracle",
 )
-
-
-@dataclass(frozen=True)
-class QuestionContext:
-    """Everything a strategy may consult for one acquired instance."""
-
-    acquisition_index: int  # 0-based count of completed acquisition events
-    gate_stats: GateStats | None
-    gate_output: float  # deterministic-pass gate value for the instance
-    mc_mean_probs: np.ndarray  # row mean of the instance's posterior samples
-    hellinger_threshold: float = 0.15
-    entropy_threshold: float = 0.5  # on entropy normalized by ln C
-    epsilon0: float = 1.0
-    epsilon_decay: float = 0.9
-
-
-@dataclass(frozen=True)
-class LabelDecision:
-    """ask=True leaves assigned_label to the oracle; self-labels carry the
-    argmax of the mean posterior (ties to the lowest class index)."""
-
-    ask: bool
-    assigned_label: int | None
 
 
 def epsilon_schedule(n: int, epsilon0: float, decay: float) -> float:
@@ -56,36 +34,44 @@ def epsilon_schedule(n: int, epsilon0: float, decay: float) -> float:
     return min(1.0, max(0.0, epsilon0 * decay**n))
 
 
-def _self_decision(ctx: QuestionContext) -> LabelDecision:
-    return LabelDecision(ask=False, assigned_label=int(np.argmax(ctx.mc_mean_probs)))
-
-
-_ASK = LabelDecision(ask=True, assigned_label=None)
-
-
 def decide(
-    strategy: str, ctx: QuestionContext, rng: np.random.Generator
-) -> LabelDecision:
-    """Apply one strategy to one acquired instance.
+    strategy: StrategyConfig,
+    acquisition_index: int,
+    gate_stats: GateStats,
+    gate_outputs: np.ndarray,
+    mean_probs: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Apply one strategy to the n picks of one acquisition event.
 
-    Only epsilon-greedy consumes randomness; every other strategy is a pure
-    function of the context.
+    `acquisition_index` counts completed acquisition events from 0,
+    `gate_outputs` (n,) holds each pick's deterministic-pass gate value and
+    `mean_probs` (n, C) the row mean of its posterior samples.  Returns (n,)
+    int64: -1 where the oracle is asked, otherwise the self-label, the
+    argmax of the pick's mean posterior (ties to the lowest class index).
+
+    Only epsilon-greedy consumes randomness, one uniform per pick in order;
+    every other strategy is a pure function of its arguments.
     """
-    if strategy == "full-oracle":
-        return _ASK
-    if strategy == "no-oracle":
-        return _self_decision(ctx)
-    if strategy == "epsilon-greedy":
-        p_ask = epsilon_schedule(ctx.acquisition_index, ctx.epsilon0, ctx.epsilon_decay)
-        return _ASK if rng.random() < p_ask else _self_decision(ctx)
-    if strategy == "entropy-response":
-        if normalized_entropy(ctx.mc_mean_probs) > ctx.entropy_threshold:
-            return _ASK
-        return _self_decision(ctx)
-    if strategy == "soqal":
-        if ctx.gate_stats is None or decide_ask(
-            ctx.gate_output, ctx.gate_stats, ctx.hellinger_threshold
-        ):
-            return _ASK
-        return _self_decision(ctx)
-    raise ValueError(f"unknown strategy: {strategy}")
+    n = len(mean_probs)
+    if strategy.name == "full-oracle":
+        ask = np.ones(n, dtype=bool)
+    elif strategy.name == "no-oracle":
+        ask = np.zeros(n, dtype=bool)
+    elif strategy.name == "epsilon-greedy":
+        p_ask = epsilon_schedule(acquisition_index, strategy.epsilon0, strategy.epsilon_decay)
+        ask = rng.random(n) < p_ask
+    elif strategy.name == "entropy-response":
+        # Entropy normalized by ln C, so the threshold lies in [0, 1].
+        scaled = entropy(mean_probs) / math.log(mean_probs.shape[1])
+        ask = scaled > strategy.entropy_threshold
+    elif strategy.name == "soqal":
+        # The scalar rule per pick: a vectorised density could round
+        # differently and flip a near-tie.
+        ask = np.array(
+            [decide_ask(float(o), gate_stats, strategy.hellinger_threshold) for o in gate_outputs],
+            dtype=bool,
+        )
+    else:
+        raise ValueError(f"unknown strategy: {strategy.name}")
+    return np.where(ask, -1, np.argmax(mean_probs, axis=1)).astype(np.int64)

@@ -163,6 +163,13 @@ class TestRun:
         assert code == 1
         assert not out.exists()
 
+    def test_csv_source_without_path_exits_one_before_writing(self, config_path, tmp_path):
+        out = tmp_path / "nocsv"
+        code = main(["run", "--config", config_path, "--set", "dataset.source=csv",
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_summary_matches_recomputation_from_seed_files(self, config_path, tmp_path):
         out = tmp_path / "sum"
         main(["run", "--config", config_path, "--set", "seeds=0,1,2", "--out", str(out)])

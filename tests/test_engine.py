@@ -16,7 +16,7 @@ from soqal.engine import (
     ask_rate,
     run_experiment,
 )
-from soqal.errors import UndefinedMetricError
+from soqal.errors import ConfigError, UndefinedMetricError
 from soqal.network import Network
 from soqal.oracle import pca_project
 
@@ -307,3 +307,8 @@ class TestRunExperiment:
 
         balanced = run_experiment(tiny_config("no-oracle", epochs=3), seed=18)
         assert balanced.stratified_split is True
+
+    def test_out_of_range_config_rejected_before_running(self):
+        cfg = tiny_config(oracle={"kind": "random-flip", "gamma": 1.5})
+        with pytest.raises(ConfigError, match="oracle.gamma"):
+            run_experiment(cfg, seed=19)
