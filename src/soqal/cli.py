@@ -113,7 +113,7 @@ def summarize(files: list[ResultFile]) -> dict[str, float]:
 
 def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
     """Load the config, apply `--set` settings, offset the seeds by
-    SOQAL_SEED_BASE, apply `--out`, validate, and create the output root."""
+    SOQAL_SEED_BASE and apply `--out`; `_run_grids` validates the result."""
     config = load_config(args.config)
     for setting in settings:
         if "=" not in setting:
@@ -121,14 +121,11 @@ def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
         key, _, value = setting.partition("=")
         config = apply_setting(config, key.strip(), value.strip())
     base = _seed_base()
-    config = replace(
+    return replace(
         config,
         seeds=tuple(s + base for s in config.seeds),
         output_dir=args.out or config.output_dir,
     )
-    validate(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    return config
 
 
 def _run_grids(

@@ -1,15 +1,15 @@
 """Experiment configuration: flat ``key = value`` text with dotted keys.
 
 The format is intentionally tiny and diff-friendly: one assignment per
-line, ``#`` comments, no sections.  Every key has a default; unknown keys
-are rejected by name.  A canonical serialization (sorted keys, output
+line, ``#`` comments, no sections.  Each key is one dataclass field, which
+gives its default and its type; unknown keys are rejected by name.  A canonical serialization (sorted keys, output
 directory excluded) feeds both provenance comments and the config hash.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 
@@ -43,7 +43,7 @@ class DataConfig:
 class NetworkConfig:
     hidden: tuple[int, ...] = (32, 32)
     dropout: float = 0.3
-    gate_detached: bool = False
+    gate_detached: bool = field(default=False, metadata={"key": "gate.detached"})
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,10 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class ActiveLearningConfig:
-    mc_passes: int = 20  # T
+    mc_passes: int = field(default=20, metadata={"key": "active_learning.T"})
     period: int = 5  # acquire when epoch is a multiple of this
-    b_frac: float = 0.02  # fraction of the remaining unlabelled pool; 0 disables
+    # fraction of the remaining unlabelled pool; 0 disables
+    b_frac: float = field(default=0.02, metadata={"key": "active_learning.b"})
     init_labelled_frac: float = 0.1
     acquisition: str = "bald-mcd"
 
@@ -65,10 +66,10 @@ class ActiveLearningConfig:
 @dataclass(frozen=True)
 class StrategyConfig:
     name: str = "soqal"
-    hellinger_threshold: float = 0.15  # S
-    entropy_threshold: float = 0.5  # S_entropy
+    hellinger_threshold: float = field(default=0.15, metadata={"key": "strategy.S"})
+    entropy_threshold: float = field(default=0.5, metadata={"key": "strategy.S_entropy"})
     epsilon0: float = 1.0
-    epsilon_decay: float = 0.9
+    epsilon_decay: float = field(default=0.9, metadata={"key": "strategy.epsilon.d"})
 
 
 @dataclass(frozen=True)
@@ -86,65 +87,50 @@ class ExperimentConfig:
     active_learning: ActiveLearningConfig = field(default_factory=ActiveLearningConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     oracle: OracleSection = field(default_factory=OracleSection)
-    chernoff_mode: str = "full-bound"
+    chernoff_mode: str = field(default="full-bound", metadata={"key": "gate.chernoff_mode"})
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "results"
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "1", "yes"):
         return True
     if lowered in ("false", "0", "no"):
         return False
-    raise ConfigError(f"key {key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
-# key -> (section, attribute, parser): each parser maps the raw string to
-# the field's value.  Kept explicit so "unknown key" errors can name the key.
-_KNOWN_KEYS: dict[str, tuple] = {
-    "dataset.source": ("dataset", "source", str),
-    "dataset.kind": ("dataset", "kind", str),
-    "dataset.n": ("dataset", "n", int),
-    "dataset.classes": ("dataset", "classes", int),
-    "dataset.features": ("dataset", "features", int),
-    "dataset.separation": ("dataset", "separation", float),
-    "dataset.csv_path": ("dataset", "csv_path", str),
-    "dataset.label_column": ("dataset", "label_column", str),
-    "dataset.train_frac": ("dataset", "train_frac", float),
-    "dataset.val_frac": ("dataset", "val_frac", float),
-    "dataset.test_frac": ("dataset", "test_frac", float),
-    "network.hidden": ("network", "hidden", _parse_int_list),
-    "network.dropout": ("network", "dropout", float),
-    "gate.detached": ("network", "gate_detached", "bool"),
-    "training.epochs": ("training", "epochs", int),
-    "training.learning_rate": ("training", "learning_rate", float),
-    "training.batch_size": ("training", "batch_size", int),
-    "active_learning.T": ("active_learning", "mc_passes", int),
-    "active_learning.period": ("active_learning", "period", int),
-    "active_learning.b": ("active_learning", "b_frac", float),
-    "active_learning.init_labelled_frac": (
-        "active_learning",
-        "init_labelled_frac",
-        float,
-    ),
-    "active_learning.acquisition": ("active_learning", "acquisition", str),
-    "strategy.name": ("strategy", "name", str),
-    "strategy.S": ("strategy", "hellinger_threshold", float),
-    "strategy.S_entropy": ("strategy", "entropy_threshold", float),
-    "strategy.epsilon0": ("strategy", "epsilon0", float),
-    "strategy.epsilon.d": ("strategy", "epsilon_decay", float),
-    "oracle.kind": ("oracle", "kind", str),
-    "oracle.gamma": ("oracle", "gamma", float),
-    "oracle.embed_dims": ("oracle", "embed_dims", int),
-    "gate.chernoff_mode": (None, "chernoff_mode", str),
-    "seeds": (None, "seeds", _parse_int_list),
-    "output_dir": (None, "output_dir", str),
-}
+def _key_table() -> dict[str, tuple]:
+    """key -> (section, attribute, parser) for every config field.
+
+    A key is ``section.field`` (``field`` for a top-level field) unless the
+    field's metadata names another; the parser follows the annotation.
+    """
+    parsers = {
+        "int": int,
+        "float": float,
+        "str": str,
+        "bool": _parse_bool,
+        "tuple[int, ...]": _parse_int_list,
+    }
+    table = {}
+    for top in fields(ExperimentConfig):
+        if is_dataclass(top.default_factory):
+            members = [(top.name, f) for f in fields(top.default_factory)]
+        else:
+            members = [(None, top)]
+        for section, f in members:
+            key = f.metadata.get("key", f.name if section is None else f"{section}.{f.name}")
+            table[key] = (section, f.name, parsers[f.type])
+    return table
+
+
+_KNOWN_KEYS = _key_table()
 
 
 def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
@@ -153,9 +139,7 @@ def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentCon
         raise ConfigError(f"unknown key: {key}")
     section, attr, parser = _KNOWN_KEYS[key]
     try:
-        value = _parse_bool(raw, key) if parser == "bool" else parser(raw)
-    except ConfigError:
-        raise
+        value = parser(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key}: cannot parse value {raw!r}") from None
     if section is None:
@@ -178,18 +162,29 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        config = parse_config_text(fh.read())
-    validate(config)
-    return config
+        return parse_config_text(fh.read())
 
 
 def validate(config: ExperimentConfig) -> None:
     """Reject out-of-range values with the offending key in the message."""
+    from .data import SYNTHETIC_KINDS, broken_shape_rule
+    from .oracle import ORACLE_KINDS
+    from .strategy import STRATEGY_NAMES
+
+    d, seeds = config.dataset, config.seeds
     checks = [
-        (config.dataset.source in ("synthetic", "csv"), "dataset.source"),
-        (config.dataset.source != "csv" or config.dataset.csv_path != "", "dataset.csv_path"),
-        (config.dataset.n >= 10 * config.dataset.classes, "dataset.n"),
-        (config.dataset.classes >= 2, "dataset.classes"),
+        (d.source in ("synthetic", "csv"), "dataset.source"),
+        (d.source != "csv" or d.csv_path != "", "dataset.csv_path"),
+        (d.source == "csv" or d.kind in SYNTHETIC_KINDS, "dataset.kind"),
+        (d.n >= 10 * d.classes, "dataset.n"),
+        (d.classes >= 2, "dataset.classes"),
+        (d.train_frac > 0.0, "dataset.train_frac"),
+        (d.val_frac > 0.0, "dataset.val_frac"),
+        (d.test_frac > 0.0, "dataset.test_frac"),
+        (
+            abs(d.train_frac + d.val_frac + d.test_frac - 1.0) < 1e-9,
+            "dataset.train_frac/val_frac/test_frac",
+        ),
         (0.0 <= config.network.dropout < 1.0, "network.dropout"),
         (len(config.network.hidden) >= 1, "network.hidden"),
         (config.training.epochs >= 1, "training.epochs"),
@@ -206,42 +201,24 @@ def validate(config: ExperimentConfig) -> None:
             config.active_learning.acquisition in ACQUISITION_NAMES,
             "active_learning.acquisition",
         ),
+        (config.strategy.name in STRATEGY_NAMES, "strategy.name"),
         (0.0 <= config.strategy.hellinger_threshold <= 1.0, "strategy.S"),
         (0.0 <= config.strategy.entropy_threshold <= 1.0, "strategy.S_entropy"),
         (0.0 <= config.strategy.epsilon0 <= 1.0, "strategy.epsilon0"),
         (0.0 < config.strategy.epsilon_decay <= 1.0, "strategy.epsilon.d"),
+        (config.oracle.kind in ORACLE_KINDS, "oracle.kind"),
         (0.0 <= config.oracle.gamma <= 1.0, "oracle.gamma"),
         (config.oracle.embed_dims >= 1, "oracle.embed_dims"),
         (config.chernoff_mode in ("full-bound", "exponent-only"), "gate.chernoff_mode"),
-        (len(config.seeds) >= 1, "seeds"),
-        (
-            abs(
-                config.dataset.train_frac
-                + config.dataset.val_frac
-                + config.dataset.test_frac
-                - 1.0
-            )
-            < 1e-9,
-            "dataset.train_frac/val_frac/test_frac",
-        ),
+        # One run and one result file per seed: none repeated, none negative.
+        (len(seeds) >= 1 and len(set(seeds)) == len(seeds) and min(seeds) >= 0, "seeds"),
     ]
-    from .oracle import ORACLE_KINDS
-    from .strategy import STRATEGY_NAMES
-
-    checks.append((config.strategy.name in STRATEGY_NAMES, "strategy.name"))
-    checks.append((config.oracle.kind in ORACLE_KINDS, "oracle.kind"))
-    checks.append((config.dataset.kind in _dataset_kinds(config), "dataset.kind"))
+    broken = d.source == "synthetic" and broken_shape_rule(d.kind, d.classes, d.features)
+    if broken:
+        checks.append((False, f"dataset.{broken[0]}"))
     for ok, key in checks:
         if not ok:
             raise ConfigError(f"invalid value for key: {key}")
-
-
-def _dataset_kinds(config: ExperimentConfig) -> tuple[str, ...]:
-    from .data import SYNTHETIC_KINDS
-
-    if config.dataset.source == "csv":
-        return (config.dataset.kind,)  # kind unused for csv input
-    return SYNTHETIC_KINDS
 
 
 def _format_value(value) -> str:

@@ -67,6 +67,20 @@ def _balanced_labels(n: int, n_classes: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) % n_classes
 
 
+def broken_shape_rule(kind: str, n_classes: int, n_features: int) -> tuple[str, str] | None:
+    """The first shape rule of `gen_synthetic` that these sizes break, as
+    (``"classes"`` or ``"features"``, message), or None if all hold."""
+    if n_features < 1:
+        return "features", "need at least one feature"
+    if kind == "gaussian-blobs" and n_features < n_classes:
+        return "features", "gaussian-blobs needs n_features >= n_classes"
+    if kind == "ring-vs-blob" and n_classes != 2:
+        return "classes", "ring-vs-blob is a 2-class generator"
+    if kind in ("ring-vs-blob", "noisy-sine-classes") and n_features < 2:
+        return "features", f"{kind} needs n_features >= 2"
+    return None
+
+
 def gen_synthetic(
     kind: str,
     n: int,
@@ -88,25 +102,20 @@ def gen_synthetic(
         raise ValueError("need at least 2 classes")
     if n < 10 * n_classes:
         raise ValueError("need n >= 10 * n_classes")
-    if n_features < 1:
-        raise ValueError("need at least one feature")
+    broken = broken_shape_rule(kind, n_classes, n_features)
+    if broken:
+        raise ValueError(broken[1])
 
     rng = np.random.default_rng(seed)
     labels = _balanced_labels(n, n_classes)
 
     if kind == "gaussian-blobs":
-        if n_features < n_classes:
-            raise ValueError("gaussian-blobs needs n_features >= n_classes")
         # Scaled standard-basis centres: all pairs are class_separation apart.
         centers = np.zeros((n_classes, n_features))
         for c in range(n_classes):
             centers[c, c] = class_separation / math.sqrt(2.0)
         features = rng.standard_normal((n, n_features)) + centers[labels]
     elif kind == "ring-vs-blob":
-        if n_classes != 2:
-            raise ValueError("ring-vs-blob is a 2-class generator")
-        if n_features < 2:
-            raise ValueError("ring-vs-blob needs n_features >= 2")
         features = 0.3 * rng.standard_normal((n, n_features))
         blob = labels == 0
         ring = ~blob
@@ -115,8 +124,6 @@ def gen_synthetic(
         features[ring, 0] += radius * np.cos(theta)
         features[ring, 1] += radius * np.sin(theta)
     else:  # noisy-sine-classes
-        if n_features < 2:
-            raise ValueError("noisy-sine-classes needs n_features >= 2")
         x = rng.uniform(0.0, 2.0 * math.pi, size=n)
         y = np.sin(x) + class_separation * labels + 0.3 * rng.standard_normal(n)
         features = 0.3 * rng.standard_normal((n, n_features))

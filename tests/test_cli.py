@@ -170,6 +170,47 @@ class TestRun:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "settings,key",
+        [
+            (["dataset.train_frac=0.8", "dataset.val_frac=0.2", "dataset.test_frac=0.0"],
+             "dataset.test_frac"),
+            (["dataset.features=0"], "dataset.features"),
+            (["dataset.kind=ring-vs-blob", "dataset.classes=3"], "dataset.classes"),
+            (["seeds=3,3"], "seeds"),
+            (["seeds=-1"], "seeds"),
+        ],
+        ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
+             "negative-seed"],
+    )
+    def test_out_of_range_value_exits_one_before_writing(
+        self, config_path, tmp_path, capsys, settings, key
+    ):
+        out = tmp_path / "bad"
+        argv = ["run", "--config", config_path, "--out", str(out)]
+        for setting in settings:
+            argv += ["--set", setting]
+        assert main(argv) == 1
+        assert f"invalid value for key: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_after_offset_exits_one_before_writing(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("SOQAL_SEED_BASE", "-1")
+        out = tmp_path / "below"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_set_overrides_an_invalid_file_value(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text(TINY_CONFIG + "strategy.S = 1.5\nseeds = 0\n")
+        out = tmp_path / "fixed"
+        code = main(["run", "--config", str(path), "--set", "strategy.S=0.2",
+                     "--out", str(out)])
+        assert code == 0
+        assert read_result_csv(str(out / "results_0.csv")).cfg["strategy.S"] == "0.2"
+
     def test_summary_matches_recomputation_from_seed_files(self, config_path, tmp_path):
         out = tmp_path / "sum"
         main(["run", "--config", config_path, "--set", "seeds=0,1,2", "--out", str(out)])
@@ -342,6 +383,12 @@ class TestEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert (out / "summary.csv").exists()
+
+    def test_package_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == soqal.__version__
 
     def test_bad_usage_exits_one(self):
         assert main(["run"]) == 1  # missing --config

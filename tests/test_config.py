@@ -1,14 +1,22 @@
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+
 import pytest
 
 from soqal.config import (
+    _KNOWN_KEYS,
     ExperimentConfig,
     apply_setting,
     canonical_lines,
     config_hash,
+    load_config,
     parse_config_text,
     validate,
 )
 from soqal.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestDefaults:
@@ -70,7 +78,7 @@ class TestParsing:
     def test_boolean_parsing(self):
         assert parse_config_text("gate.detached = true\n").network.gate_detached
         assert not parse_config_text("gate.detached = false\n").network.gate_detached
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="gate.detached"):
             parse_config_text("gate.detached = maybe\n")
 
     def test_serialize_round_trip(self):
@@ -97,11 +105,50 @@ class TestValidate:
             ("oracle.kind", "telepathy"),
             ("oracle.gamma", "1.5"),
             ("oracle.embed_dims", "0"),
+            ("dataset.train_frac", "0.0"),
+            ("dataset.val_frac", "-0.2"),
+            ("dataset.test_frac", "0.0"),
+            ("dataset.features", "0"),
+            ("seeds", "3,3"),
+            ("seeds", "-1"),
+            ("seeds", "0,1,0"),
+            ("seeds", ""),
         ],
     )
     def test_out_of_range_values_rejected(self, key, value):
         cfg = apply_setting(ExperimentConfig(), key, value)
-        with pytest.raises(ConfigError, match="invalid value"):
+        with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
+            validate(cfg)
+
+    @pytest.mark.parametrize(
+        "kind,classes,features,key",
+        [
+            ("gaussian-blobs", "3", "2", "dataset.features"),
+            ("ring-vs-blob", "3", "3", "dataset.classes"),
+            ("ring-vs-blob", "2", "1", "dataset.features"),
+            ("noisy-sine-classes", "2", "1", "dataset.features"),
+        ],
+    )
+    def test_synthetic_shape_rules_name_the_key(self, kind, classes, features, key):
+        cfg = apply_setting(ExperimentConfig(), "dataset.kind", kind)
+        cfg = apply_setting(cfg, "dataset.classes", classes)
+        cfg = apply_setting(cfg, "dataset.features", features)
+        with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
+            validate(cfg)
+
+    def test_csv_source_skips_synthetic_shape_rules(self):
+        cfg = ExperimentConfig()
+        for name, value in {"dataset.source": "csv", "dataset.csv_path": "d.csv",
+                            "dataset.kind": "unused", "dataset.features": "0"}.items():
+            cfg = apply_setting(cfg, name, value)
+        validate(cfg)
+
+    def test_load_config_leaves_validation_to_the_caller(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text("strategy.S = 1.5\n")
+        cfg = load_config(str(path))
+        assert cfg.strategy.hellinger_threshold == 1.5
+        with pytest.raises(ConfigError, match="strategy.S"):
             validate(cfg)
 
 
@@ -116,7 +163,31 @@ class TestHash:
         assert config_hash(cfg) != config_hash(apply_setting(cfg, "strategy.S", "0.2"))
         assert config_hash(cfg) != config_hash(apply_setting(cfg, "seeds", "1,2"))
 
+    def test_pinned_hashes(self):
+        assert config_hash(ExperimentConfig()) == "7f42bb7c9bf4"
+        assert config_hash(load_config(str(ROOT / "configs" / "example.cfg"))) == "18d91c15499f"
+
     def test_reparse_preserves_hash(self):
         cfg = apply_setting(ExperimentConfig(), "oracle.gamma", "0.8")
         again = parse_config_text("\n".join(canonical_lines(cfg)))
         assert config_hash(again) == config_hash(cfg)
+
+
+class TestKeyTable:
+    def test_one_key_per_dataclass_field(self):
+        leaves = set()
+        for top in fields(ExperimentConfig):
+            if is_dataclass(top.default_factory):
+                leaves |= {(top.name, f.name) for f in fields(top.default_factory)}
+            else:
+                leaves.add((None, top.name))
+        assert len(leaves) == len(_KNOWN_KEYS) == 33
+        assert {(section, attr) for section, attr, _ in _KNOWN_KEYS.values()} == leaves
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([^`]+)` \| (?:`([^`]*)`)? *\|", readme, re.MULTILINE))
+        defaults = dict(line.split(" = ", 1) for line in canonical_lines(ExperimentConfig()))
+        defaults["output_dir"] = ExperimentConfig().output_dir
+        assert rows == defaults
+        assert set(rows) == set(_KNOWN_KEYS)
