@@ -12,38 +12,40 @@ import numpy as np
 
 from .network import Network
 
-
-def instance_seed(
-    base_seed: int, epoch: int, instance_id: int
-) -> np.random.SeedSequence:
-    """Deterministic per-(run, epoch, instance) seed for dropout sampling."""
-    return np.random.SeedSequence([int(base_seed), int(epoch), int(instance_id)])
-
-
 MC_BLOCK_ROWS = 320  # rows per forward call: amortises call overhead, bounds peak memory
 
 
 def mc_posteriors(
     net: Network,
-    xs: np.ndarray,
+    features: np.ndarray,
+    ids: np.ndarray | list[int],
     n_passes: int,
-    seeds: list[int | np.random.SeedSequence],
+    seed: int,
+    epoch: int,
 ) -> np.ndarray:
-    """(N, T, C) softmax rows of `n_passes` dropout passes over each row of xs (N, m).
+    """(len(ids), T, C) softmax rows of `n_passes` dropout passes over the
+    rows `ids` of features (N, m).
 
-    Instance i draws its masks from one generator seeded by `seeds[i]`, so its
-    rows do not depend on which instances share its forward call.
+    Instance i draws its masks from one generator keyed by (seed, epoch, i),
+    so its rows do not depend on which instances share its forward call.
     """
     if n_passes < 1:
         raise ValueError("need at least one pass")
-    probs = np.empty((len(xs), n_passes, net.n_classes))
+    probs = np.empty((len(ids), n_passes, net.n_classes))
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    for start in range(0, len(xs), per_block):
-        stop = start + per_block
-        drawn = [net.make_masks(n_passes, np.random.default_rng(s)) for s in seeds[start:stop]]
+    for start in range(0, len(ids), per_block):
+        block = ids[start:start + per_block]
+        drawn = [
+            net.make_masks(
+                n_passes, np.random.default_rng(np.random.SeedSequence([seed, epoch, i]))
+            )
+            for i in block
+        ]
         masks = [np.concatenate(layer) for layer in zip(*drawn)]
-        block, _, _ = net.forward_batch(np.repeat(xs[start:stop], n_passes, axis=0), masks)
-        probs[start:stop] = block.reshape(-1, n_passes, net.n_classes)
+        rows, _, _ = net.forward_batch(np.repeat(features[block], n_passes, axis=0), masks)
+        probs[start:start + len(block)] = rows.reshape(-1, n_passes, net.n_classes)
+    if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
+        raise ValueError("posterior rows must sum to 1")
     return probs
 
 

@@ -138,12 +138,20 @@ def _run_grids(
     """Run each (leading cells, config, directory) variant's seed grid and
     write one summary row per variant.
 
-    Every variant is validated, and its existing result files checked,
-    before any runs.  The leading cells fill the first columns; the rest are
-    named from the variant's seed grid.
+    Every variant is validated, checked to differ from the others, and its
+    existing result files checked, before any runs.  The leading cells fill
+    the first columns; the rest are named from the variant's seed grid.
     """
+    dirs: dict[str, str] = {}
     for _, cfg, out_dir in variants:
         validate(cfg)
+        digest = config_hash(cfg)
+        if digest in dirs:
+            raise ConfigError(
+                f"{dirs[digest]} and {out_dir} would run the same config "
+                f"(config_hash {digest})"
+            )
+        dirs[digest] = out_dir
         check_existing(cfg, out_dir)
     rows = []
     for lead, cfg, out_dir in variants:

@@ -9,6 +9,7 @@ directory excluded) feeds both provenance comments and the config hash.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
@@ -177,6 +178,7 @@ def validate(config: ExperimentConfig) -> None:
         (d.source != "csv" or d.csv_path != "", "dataset.csv_path"),
         (d.source == "csv" or d.kind in SYNTHETIC_KINDS, "dataset.kind"),
         (d.n >= 10 * d.classes, "dataset.n"),
+        (math.isfinite(d.separation), "dataset.separation"),
         (d.classes >= 2, "dataset.classes"),
         (d.train_frac > 0.0, "dataset.train_frac"),
         (d.val_frac > 0.0, "dataset.val_frac"),
@@ -189,7 +191,7 @@ def validate(config: ExperimentConfig) -> None:
         (len(config.network.hidden) >= 1, "network.hidden"),
         (config.training.epochs >= 1, "training.epochs"),
         (config.training.batch_size >= 1, "training.batch_size"),
-        (config.training.learning_rate >= 0.0, "training.learning_rate"),
+        (0.0 <= config.training.learning_rate < math.inf, "training.learning_rate"),
         (config.active_learning.mc_passes >= 1, "active_learning.T"),
         (config.active_learning.period >= 1, "active_learning.period"),
         (0.0 <= config.active_learning.b_frac <= 1.0, "active_learning.b"),

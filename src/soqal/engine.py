@@ -15,20 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import (
-    bald_mcd,
-    instance_seed,
-    mc_posteriors,
-    predictive_entropy,
-    select_top_b,
-)
+from .acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
 from .config import ExperimentConfig, config_hash, validate
 from .data import Dataset, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError, UndefinedMetricError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
 from .metrics import auc_ovr
 from .network import Network, train_epoch
-from .oracle import Oracle, build_neighbor_table
+from .oracle import Oracle
 from .strategy import decide
 
 
@@ -136,22 +130,6 @@ def _safe_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         return float("nan")
 
 
-def _posteriors(
-    net: Network,
-    features: np.ndarray,
-    ids: np.ndarray | list[int],
-    n_passes: int,
-    seed: int,
-    epoch: int,
-) -> np.ndarray:
-    """(len(ids), T, C) MC-dropout posteriors, one seeded stream per instance."""
-    seeds = [instance_seed(seed, epoch, i) for i in ids]
-    probs = mc_posteriors(net, features[ids], n_passes, seeds)
-    if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
-        raise ValueError("posterior rows must sum to 1")
-    return probs
-
-
 def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     """Run one experiment; deterministic given (config, seed)."""
     validate(config)
@@ -168,11 +146,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     )
     features = standardize(dataset.features, parts.train)
 
-    table = None
-    if config.oracle.kind == "nn-flip":
-        embed_dims = min(config.oracle.embed_dims, dataset.n_features)
-        table = build_neighbor_table(dataset, embed_dims, parts.train)
-    oracle = Oracle(config.oracle, dataset.n_classes, table)
+    oracle = Oracle(config.oracle, dataset, parts.train)
 
     net_rng = np.random.default_rng(net_ss)
     net = Network.initialize(
@@ -285,9 +259,9 @@ def _acquire(
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
         rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))
-        probs = _posteriors(net, features, candidates[rows], al.mc_passes, seed, epoch)
+        probs = mc_posteriors(net, features, candidates[rows], al.mc_passes, seed, epoch)
     else:
-        probs = _posteriors(net, features, candidates, al.mc_passes, seed, epoch)
+        probs = mc_posteriors(net, features, candidates, al.mc_passes, seed, epoch)
         scorer = bald_mcd if al.acquisition == "bald-mcd" else predictive_entropy
         rows = sorted(select_top_b(scorer(probs), al.b_frac))
         probs = probs[rows]

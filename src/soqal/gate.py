@@ -142,6 +142,5 @@ def chernoff_bound(stats: GateStats, mode: str = "full-bound") -> ChernoffResult
     objective = log_bound if mode == "full-bound" else -k
     best = objective.min()
     tied = np.flatnonzero(objective <= best + 1e-12)
-    beta_star = float(beta[tied[np.argmin(np.abs(beta[tied] - 0.5))]])
-    idx = int(round(beta_star * 1000))
-    return ChernoffResult(bound=float(math.exp(log_bound[idx])), beta_star=beta_star)
+    idx = tied[np.argmin(np.abs(beta[tied] - 0.5))]
+    return ChernoffResult(bound=float(math.exp(log_bound[idx])), beta_star=float(beta[idx]))

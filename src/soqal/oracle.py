@@ -69,19 +69,17 @@ def build_neighbor_table(
 class Oracle:
     """Answers label requests, possibly corrupting the true label."""
 
-    def __init__(
-        self,
-        config: OracleSection,
-        n_classes: int,
-        neighbor_table: NeighborTable | None = None,
-    ):
+    def __init__(self, config: OracleSection, dataset: Dataset, train_ids: np.ndarray):
+        """nn-flip searches the training rows `train_ids` of `dataset`,
+        projected onto at most `config.embed_dims` principal components."""
         if config.kind not in ORACLE_KINDS:
             raise ConfigError(f"unknown oracle kind: {config.kind}")
-        if config.kind == "nn-flip" and neighbor_table is None:
-            raise ConfigError("nn-flip oracle needs a neighbour table")
         self.config = config
-        self.n_classes = n_classes
-        self.neighbor_table = neighbor_table
+        self.n_classes = dataset.n_classes
+        self.neighbor_table = None
+        if config.kind == "nn-flip":
+            embed_dims = min(config.embed_dims, dataset.n_features)
+            self.neighbor_table = build_neighbor_table(dataset, embed_dims, train_ids)
 
     def label(self, instance_id: int, true_label: int, rng: np.random.Generator) -> int:
         """Return the oracle's answer for one instance.

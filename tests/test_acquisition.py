@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from soqal import acquisition
-from soqal.acquisition import (
-    bald_mcd,
-    instance_seed,
-    mc_posteriors,
-    predictive_entropy,
-    select_top_b,
-)
+from soqal.acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
 from soqal.network import Network
 
 
@@ -26,12 +20,14 @@ def make_net(dropout, seed=0):
     return Network.initialize(3, 4, [8], dropout_rate=dropout, seed=seed)
 
 
-def reference_posteriors(net, xs, n_passes, seed, epoch, ids):
-    """Per-instance MC passes: one seeded mask draw and one forward per id."""
+def reference_posteriors(net, features, ids, n_passes, seed, epoch):
+    """Per-instance MC passes: one (seed, epoch, id)-keyed mask draw and one
+    forward per id."""
     rows = []
-    for x, i in zip(xs, ids):
-        masks = net.make_masks(n_passes, np.random.default_rng(instance_seed(seed, epoch, i)))
-        probs, _, _ = net.forward_batch(np.repeat(x[None], n_passes, axis=0), masks)
+    for i in ids:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, i]))
+        masks = net.make_masks(n_passes, rng)
+        probs, _, _ = net.forward_batch(np.repeat(features[i][None], n_passes, axis=0), masks)
         rows.append(probs)
     return np.stack(rows)
 
@@ -39,29 +35,57 @@ def reference_posteriors(net, xs, n_passes, seed, epoch, ids):
 class TestMcPosteriors:
     def test_no_dropout_rows_identical(self):
         net = make_net(0.0)
-        probs = mc_posteriors(net, np.ones((1, 3)), n_passes=7, seeds=[1])[0]
+        probs = mc_posteriors(net, np.ones((1, 3)), [0], n_passes=7, seed=1, epoch=0)[0]
         np.testing.assert_array_equal(probs, np.tile(probs[0], (7, 1)))
 
     def test_same_seed_same_matrix(self):
         net = make_net(0.4)
         x = np.random.default_rng(2).standard_normal((1, 3))
-        a = mc_posteriors(net, x, n_passes=20, seeds=[9])
-        b = mc_posteriors(net, x, n_passes=20, seeds=[9])
+        a = mc_posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
+        b = mc_posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
         np.testing.assert_array_equal(a, b)
 
     def test_rows_are_distributions(self):
         net = make_net(0.5)
-        probs = mc_posteriors(net, np.ones((1, 3)), n_passes=20, seeds=[3])
+        probs = mc_posteriors(net, np.ones((1, 3)), [0], n_passes=20, seed=3, epoch=1)
         assert probs.shape == (1, 20, 4)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_instance_seed_is_reproducible_and_distinct(self):
-        assert instance_seed(1, 2, 3).entropy == instance_seed(1, 2, 3).entropy
-        assert instance_seed(1, 2, 3).entropy != instance_seed(1, 2, 4).entropy
+        # Rows 3 and 4 hold the same features, so only the id keys differ.
+        net = make_net(0.4)
+        features = np.ones((5, 3))
+        a = mc_posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
+        np.testing.assert_array_equal(
+            a, mc_posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
+        )
+        b = mc_posteriors(net, features, [4], n_passes=20, seed=1, epoch=2)
+        assert not np.array_equal(a, b)
 
     def test_zero_passes_rejected(self):
         with pytest.raises(ValueError):
-            mc_posteriors(make_net(0.3), np.ones((1, 3)), n_passes=0, seeds=[0])
+            mc_posteriors(make_net(0.3), np.ones((1, 3)), [0], n_passes=0, seed=0, epoch=0)
+
+
+class TestPosteriors:
+    def test_stacks_one_seeded_stream_per_instance(self):
+        net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
+        features = np.random.default_rng(1).standard_normal((6, 3))
+        ids = [1, 4, 5]
+        probs = mc_posteriors(net, features, ids, 5, seed=7, epoch=2)
+        assert probs.shape == (3, 5, 4)
+        for row, i in zip(probs, ids):
+            rng = np.random.default_rng(np.random.SeedSequence([7, 2, i]))
+            tiled = np.repeat(features[i][None], 5, axis=0)
+            expected, _, _ = net.forward_batch(tiled, net.make_masks(5, rng))
+            np.testing.assert_array_equal(row, expected)
+
+    def test_rows_must_sum_to_one(self, monkeypatch):
+        net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
+        rows = np.array([[0.5, 0.5], [0.5, 0.4]])
+        monkeypatch.setattr(net, "forward_batch", lambda *args: (rows, None, None))
+        with pytest.raises(ValueError, match="sum to 1"):
+            mc_posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
 
 PASSES = 20
@@ -78,11 +102,12 @@ class TestBlockedForward:
     def test_matches_per_instance_reference(self, n, dropout):
         net = pool_net(dropout)
         xs = np.random.default_rng(n).standard_normal((n, 5))
+        features = np.zeros((10 + 3 * n, 5))
         ids = list(range(10, 10 + 3 * n, 3))
-        seeds = [instance_seed(7, 5, i) for i in ids]
+        features[ids] = xs
         np.testing.assert_array_equal(
-            mc_posteriors(net, xs, PASSES, seeds),
-            reference_posteriors(net, xs, PASSES, 7, 5, ids),
+            mc_posteriors(net, features, ids, PASSES, 7, 5),
+            reference_posteriors(net, features, ids, PASSES, 7, 5),
         )
 
     @settings(derandomize=True, deadline=None)
@@ -90,12 +115,9 @@ class TestBlockedForward:
     def test_rows_do_not_depend_on_block_mates(self, order, size):
         net = pool_net(0.4)
         xs = np.random.default_rng(0).standard_normal((2 * BLOCK + 3, 5))
-        seeds = [instance_seed(3, 1, i) for i in range(len(xs))]
-        full = mc_posteriors(net, xs, PASSES, seeds)
+        full = mc_posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
         ids = order[:size]
-        np.testing.assert_array_equal(
-            mc_posteriors(net, xs[ids], PASSES, [seeds[i] for i in ids]), full[ids]
-        )
+        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
 
 
 class TestBaldMcd:

@@ -90,6 +90,17 @@ class TestRun:
         assert float(rows[0]["mean_ask_rate"]) == 1.0
         assert float(rows[1]["mean_ask_rate"]) == 0.0
 
+    def test_repeated_strategy_exits_one_before_writing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "twice"
+        code = main(
+            ["run", "--config", config_path, "--strategy", "no-oracle",
+             "--strategy", "no-oracle", "--out", str(out)]
+        )
+        assert code == 1
+        dup = os.path.join(str(out), "no-oracle")
+        assert f"{dup} and {dup} would run the same config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_set_key_exits_one(self, config_path, tmp_path):
         code = main(
             ["run", "--config", config_path, "--set", "stratgy=soqal",
@@ -179,9 +190,12 @@ class TestRun:
             (["dataset.kind=ring-vs-blob", "dataset.classes=3"], "dataset.classes"),
             (["seeds=3,3"], "seeds"),
             (["seeds=-1"], "seeds"),
+            (["dataset.separation=nan"], "dataset.separation"),
+            (["dataset.separation=inf"], "dataset.separation"),
+            (["training.learning_rate=inf"], "training.learning_rate"),
         ],
         ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
-             "negative-seed"],
+             "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate"],
     )
     def test_out_of_range_value_exits_one_before_writing(
         self, config_path, tmp_path, capsys, settings, key
@@ -274,6 +288,45 @@ class TestRun:
         assert digests[0] == digests[1]
 
 
+# sha256[:12] of results_<seed>.csv, written on this numpy version.
+PINNED_NUMPY = "2.4.6"
+PINNED_RESULTS = {
+    "bald-soqal": (
+        "active_learning.acquisition = bald-mcd\nstrategy.name = soqal\n",
+        {0: "0c66a4c3f415", 1: "f482cbc97b49"},
+    ),
+    "nnflip-entropy-epsilon": (
+        "active_learning.acquisition = entropy\nstrategy.name = epsilon-greedy\n"
+        "oracle.kind = nn-flip\noracle.gamma = 0.5\n",
+        {0: "a0e93aa37b92", 1: "eeef49fea201"},
+    ),
+}
+
+
+class TestPinnedResults:
+    @pytest.mark.skipif(
+        np.__version__ != PINNED_NUMPY,
+        reason=f"digests are pinned on numpy {PINNED_NUMPY}, whose random streams "
+        f"and float rounding they record; this is numpy {np.__version__}",
+    )
+    def test_result_digests_match_pins(self, tmp_path):
+        found = {}
+        for name, (settings, _) in PINNED_RESULTS.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(TINY_CONFIG + "training.epochs = 10\n" + settings)
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            found[name] = {
+                seed: hashlib.sha256((out / f"results_{seed}.csv").read_bytes()).hexdigest()[:12]
+                for seed in (0, 1)
+            }
+        pinned = {name: digests for name, (_, digests) in PINNED_RESULTS.items()}
+        assert found == pinned, (
+            "result bytes changed: if intended, bump artifact_version and update "
+            "PINNED_RESULTS; otherwise a change broke reproducibility"
+        )
+
+
 class TestResultFileSchema:
     def test_per_seed_file_contents(self, config_path, tmp_path):
         out = tmp_path / "schema"
@@ -334,6 +387,20 @@ class TestSweep:
         rows = read_table(out / "sweep_summary.csv")
         assert len(rows) == 2
         assert rows[0]["config_hash"] != rows[1]["config_hash"]
+
+    def test_values_with_the_same_setting_exit_one_before_writing(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "same"
+        code = main(
+            ["sweep", "--config", config_path, "--param", "S",
+             "--values", "0.1,0.10", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert os.path.join(str(out), "sweep_S_0.1") + " and " in err
+        assert os.path.join(str(out), "sweep_S_0.10") + " would run the same config" in err
+        assert not out.exists()
 
     def test_non_sweepable_param_exits_one(self, config_path, tmp_path):
         code = main(

@@ -113,6 +113,11 @@ class TestValidate:
             ("seeds", "-1"),
             ("seeds", "0,1,0"),
             ("seeds", ""),
+            ("dataset.separation", "nan"),
+            ("dataset.separation", "inf"),
+            ("dataset.separation", "-inf"),
+            ("training.learning_rate", "inf"),
+            ("training.learning_rate", "nan"),
         ],
     )
     def test_out_of_range_values_rejected(self, key, value):

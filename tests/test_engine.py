@@ -5,7 +5,6 @@ import pytest
 from dataclasses import astuple, replace
 
 import soqal.engine
-from soqal.acquisition import instance_seed
 from soqal.config import ExperimentConfig
 from soqal.data import split
 from soqal.engine import (
@@ -17,7 +16,6 @@ from soqal.engine import (
     run_experiment,
 )
 from soqal.errors import ConfigError, UndefinedMetricError
-from soqal.network import Network
 from soqal.oracle import pca_project
 
 
@@ -96,30 +94,6 @@ class TestPoolState:
             pool.move_to_labelled(99, 0)
         with pytest.raises(ValueError):
             pool.move_to_labelled(0, 0)  # already labelled
-
-
-class TestPosteriors:
-    def test_stacks_one_seeded_stream_per_instance(self):
-        net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
-        features = np.random.default_rng(1).standard_normal((6, 3))
-        ids = [1, 4, 5]
-        probs = soqal.engine._posteriors(net, features, ids, 5, seed=7, epoch=2)
-        assert probs.shape == (3, 5, 4)
-        for row, i in zip(probs, ids):
-            rng = np.random.default_rng(instance_seed(7, 2, i))
-            tiled = np.repeat(features[i][None], 5, axis=0)
-            expected, _, _ = net.forward_batch(tiled, net.make_masks(5, rng))
-            np.testing.assert_array_equal(row, expected)
-
-    def test_rows_must_sum_to_one(self, monkeypatch):
-        monkeypatch.setattr(
-            soqal.engine,
-            "mc_posteriors",
-            lambda *args: np.array([[[0.5, 0.5]], [[0.5, 0.4]]]),
-        )
-        net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
-        with pytest.raises(ValueError, match="sum to 1"):
-            soqal.engine._posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
 
 class TestAskRate:

@@ -20,43 +20,49 @@ def neighbor_ids(table):
     return np.array([table.ids[table.neighbor_row(i)] for i in table.ids])
 
 
+def labelled_dataset(n_classes):
+    """Two instances of each of C classes."""
+    return Dataset(
+        features=np.random.default_rng(n_classes).standard_normal((2 * n_classes, 2)),
+        labels=np.arange(2 * n_classes) % n_classes,
+        n_classes=n_classes,
+    )
+
+
+def make_oracle(config, dataset):
+    return Oracle(config, dataset, np.arange(dataset.n_instances))
+
+
 class TestLabel:
     def test_noise_free_is_identity(self):
-        oracle = Oracle(OracleSection(), n_classes=3)
+        oracle = make_oracle(OracleSection(), labelled_dataset(3))
         rng = np.random.default_rng(0)
         for label in range(3):
             assert oracle.label(0, label, rng) == label
 
     def test_zero_gamma_never_flips(self):
-        oracle = Oracle(OracleSection(kind="random-flip", gamma=0.0), n_classes=4)
+        oracle = make_oracle(OracleSection(kind="random-flip", gamma=0.0), labelled_dataset(4))
         rng = np.random.default_rng(1)
         assert all(oracle.label(i, 2, rng) == 2 for i in range(1000))
 
     def test_gamma_one_always_flips_to_other_class(self):
-        oracle = Oracle(OracleSection(kind="random-flip", gamma=1.0), n_classes=5)
+        oracle = make_oracle(OracleSection(kind="random-flip", gamma=1.0), labelled_dataset(5))
         rng = np.random.default_rng(2)
         answers = {oracle.label(i, 3, rng) for i in range(2000)}
         assert 3 not in answers
         assert answers == {0, 1, 2, 4}  # every other class reachable
 
     def test_flip_frequency_matches_gamma(self):
-        oracle = Oracle(OracleSection(kind="random-flip", gamma=0.2), n_classes=3)
+        oracle = make_oracle(OracleSection(kind="random-flip", gamma=0.2), labelled_dataset(3))
         rng = np.random.default_rng(3)
         flips = sum(oracle.label(i, 1, rng) != 1 for i in range(100_000))
         assert abs(flips / 100_000 - 0.2) < 0.01
 
     def test_nn_flip_returns_neighbor_class(self):
-        table = build_neighbor_table(two_point_dataset(), 2, np.arange(2))
-        oracle = Oracle(
-            OracleSection(kind="nn-flip", gamma=1.0), n_classes=2, neighbor_table=table
-        )
+        oracle = make_oracle(OracleSection(kind="nn-flip", gamma=1.0), two_point_dataset())
         rng = np.random.default_rng(4)
         assert oracle.label(0, 0, rng) == 1
         assert oracle.label(1, 1, rng) == 0
-
-    def test_nn_flip_without_table_rejected(self):
-        with pytest.raises(ConfigError):
-            Oracle(OracleSection(kind="nn-flip", gamma=0.5), n_classes=2)
 
     def test_bad_config_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -68,7 +74,7 @@ class TestLabel:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown oracle kind"):
-            Oracle(OracleSection(kind="telepathy", gamma=1.0), n_classes=2)
+            make_oracle(OracleSection(kind="telepathy", gamma=1.0), two_point_dataset())
 
 
 def brute_force_neighbors(projected, labels):
