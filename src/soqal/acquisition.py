@@ -7,12 +7,89 @@ matters for acquisition.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from .network import Network
 
 MC_BLOCK_ROWS = 320  # rows per forward call: amortises call overhead, bounds peak memory
+MAX_ID = 2**32  # ids are one uint32 word of the mask stream key
+
+# numpy's SeedSequence hash constants (INIT_A, MULT_A; INIT_B, MULT_B;
+# MIX_MULT_L, MIX_MULT_R in numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier.
+MASK32 = 0xFFFF_FFFF
+MIX_ENTROPY = (0x43B0_D7E5, 0x931E_8875)  # (initial constant, multiplier)
+GENERATE_STATE = (0x8B51_F9DD, 0x58F3_8DED)
+MIX_LEFT, MIX_RIGHT = 0xCA01_F9DD, 0x4973_F715
+PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+MASK128 = (1 << 128) - 1
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError("stream key words must be non-negative")
+    words = [n & MASK32]
+    while n > MASK32:
+        n >>= 32
+        words.append(n & MASK32)
+    return words
+
+
+def _hash_schedule(const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiply) constants of successive hash steps; data-independent."""
+    while True:
+        following = const * mult & MASK32
+        yield const, following
+        const = following
+
+
+def _hash(value: np.ndarray, schedule: Iterator[tuple[int, int]]) -> np.ndarray:
+    xor, mult = next(schedule)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * MIX_LEFT - y * MIX_RIGHT
+    return value ^ (value >> 16)
+
+
+def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of `PCG64(SeedSequence([seed, epoch, i]))` for every
+    id i in a uint32 array, computed for all ids at once.
+
+    Follows numpy's SeedSequence entropy mix and `generate_state(4, uint64)`
+    in uint32 array arithmetic, which wraps like its C code, then PCG64's
+    seeding in exact 128-bit ints.  Only the last entropy word, the id,
+    varies; the others are one-element arrays that broadcast.
+    """
+    entropy = [np.array([w], dtype=np.uint32) for w in _words(int(seed)) + _words(int(epoch))]
+    entropy.append(ids)
+    schedule = _hash_schedule(*MIX_ENTROPY)
+    pool = [
+        _hash(entropy[k] if k < len(entropy) else np.zeros(1, np.uint32), schedule)
+        for k in range(4)
+    ]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], schedule))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, schedule))
+    schedule = _hash_schedule(*GENERATE_STATE)
+    halves = [_hash(pool[k % 4], schedule).astype(np.uint64) for k in range(8)]
+    high_state, low_state, high_seq, low_seq = (
+        (halves[k] | halves[k + 1] << 32).tolist() for k in range(0, 8, 2)
+    )
+    keys = []
+    for hs, ls, hq, lq in zip(high_state, low_state, high_seq, low_seq):
+        inc = ((hq << 64 | lq) << 1 | 1) & MASK128
+        keys.append(((((hs << 64 | ls) + inc) * PCG_MULT + inc) & MASK128, inc))
+    return keys
 
 
 def mc_posteriors(
@@ -26,22 +103,38 @@ def mc_posteriors(
     """(len(ids), T, C) softmax rows of `n_passes` dropout passes over the
     rows `ids` of features (N, m).
 
-    Instance i draws its masks from one generator keyed by (seed, epoch, i),
-    so its rows do not depend on which instances share its forward call.
+    Instance i draws its masks from one numpy PCG64 stream seeded by
+    SeedSequence([seed, epoch, i]), so its rows do not depend on which
+    instances share its forward call.  The seeding of every stream is
+    computed at once (`stream_keys`); one generator is re-pointed at each
+    instance and fills its row of the block's uniforms.
     """
     if n_passes < 1:
         raise ValueError("need at least one pass")
-    probs = np.empty((len(ids), n_passes, net.n_classes))
+    ids = np.asarray(ids)
+    if ids.size and not (0 <= ids.min() and ids.max() < MAX_ID):
+        raise ValueError(f"instance ids must lie in [0, {MAX_ID})")
+    ids = ids.astype(np.uint32)
+    keys = stream_keys(seed, epoch, ids)
+    widths = [layer.weight.shape[0] for layer in net.trunk]
+    bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
+    uniforms = np.empty((min(per_block, len(ids)), bounds[-1]))
+    bitgen = np.random.PCG64(0)
+    draw = np.random.Generator(bitgen).random
+    probs = np.empty((len(ids), n_passes, net.n_classes))
     for start in range(0, len(ids), per_block):
         block = ids[start:start + per_block]
-        drawn = [
-            net.make_masks(
-                n_passes, np.random.default_rng(np.random.SeedSequence([seed, epoch, i]))
-            )
-            for i in block
+        drawn = uniforms[:len(block)]
+        for row, (state, inc) in zip(drawn, keys[start:start + per_block]):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            draw(out=row)
+        kept = drawn >= net.dropout_rate
+        masks = [
+            kept[:, lo:hi].astype(np.float64).reshape(-1, width)
+            for lo, hi, width in zip(bounds, bounds[1:], widths)
         ]
-        masks = [np.concatenate(layer) for layer in zip(*drawn)]
         rows, _, _ = net.forward_batch(np.repeat(features[block], n_passes, axis=0), masks)
         probs[start:start + len(block)] = rows.reshape(-1, n_passes, net.n_classes)
     if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):

@@ -79,8 +79,9 @@ def run_seed_grid(config: ExperimentConfig, out_dir: str, jobs: int) -> list[str
         for seed, path in zip(config.seeds, paths)
         if not os.path.exists(path)
     ]
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(pending))  # fork starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_one, config, seed, path) for seed, path in pending
             ]
@@ -142,6 +143,8 @@ def _run_grids(
     existing result files checked, before any runs.  The leading cells fill
     the first columns; the rest are named from the variant's seed grid.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dirs: dict[str, str] = {}
     for _, cfg, out_dir in variants:
         validate(cfg)

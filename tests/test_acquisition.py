@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from soqal import acquisition
-from soqal.acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
+from soqal.acquisition import (
+    bald_mcd,
+    mc_posteriors,
+    predictive_entropy,
+    select_top_b,
+    stream_keys,
+)
 from soqal.network import Network
 
 
@@ -65,6 +71,35 @@ class TestMcPosteriors:
     def test_zero_passes_rejected(self):
         with pytest.raises(ValueError):
             mc_posteriors(make_net(0.3), np.ones((1, 3)), [0], n_passes=0, seed=0, epoch=0)
+
+    @pytest.mark.parametrize("bad_id", [-1, 2**32])
+    def test_id_outside_uint32_rejected(self, bad_id):
+        # A wrapped id would silently key another instance's stream.
+        with pytest.raises(ValueError, match="ids must lie in"):
+            mc_posteriors(make_net(0.3), np.ones((1, 3)), [0, bad_id], 2, seed=0, epoch=0)
+
+
+def seed_of_words(n):
+    """Ints that SeedSequence splits into exactly n uint32 words."""
+    return st.integers(0 if n == 1 else 2 ** (32 * (n - 1)), 2 ** (32 * n) - 1)
+
+
+class TestStreamKeys:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.one_of(*(seed_of_words(n) for n in range(1, 5))),
+        st.integers(0, 2**33 - 1),
+        st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    @example(2**128 - 1, 2**33 - 1, [0, 2**32 - 1])
+    @example(2**32, 2**32, [7])
+    def test_matches_numpy_seed_sequence(self, seed, epoch, ids):
+        keys = stream_keys(seed, epoch, np.array(ids, dtype=np.uint32))
+        expected = []
+        for i in ids:
+            state = np.random.PCG64(np.random.SeedSequence([seed, epoch, i])).state["state"]
+            expected.append((state["state"], state["inc"]))
+        assert keys == expected
 
 
 class TestPosteriors:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,26 @@ class TestRun:
         main(["run", "--config", config_path, "--jobs", "2", "--out", str(par)])
         for name in ("results_0.csv", "results_1.csv"):
             assert (seq / name).read_bytes() == (par / name).read_bytes()
+
+    def test_pool_has_no_more_workers_than_pending_seeds(self, config_path, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(soqal.cli, "ProcessPoolExecutor", RecordingPool)
+        assert main(["run", "--config", config_path, "--jobs", "64",
+                     "--out", str(tmp_path / "capped")]) == 0
+        assert started == [2]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_one_before_writing(self, config_path, tmp_path, capsys, jobs):
+        out = tmp_path / "nojobs"
+        assert main(["run", "--config", config_path, "--jobs", jobs, "--out", str(out)]) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_forward_block_size_does_not_change_results(self, tmp_path, monkeypatch):
         cfg = tmp_path / "dropout.cfg"
