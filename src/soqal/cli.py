@@ -48,51 +48,6 @@ def _run_one(config: ExperimentConfig, seed: int, path: str) -> None:
     write_result_csv(run_experiment(config, seed), config, path)
 
 
-def check_existing(config: ExperimentConfig, out_dir: str) -> None:
-    """Reject any existing result file of the grid that was written under
-    another config hash or artifact version, naming the file and both."""
-    expected = (config_hash(config), __version__)
-    for seed in config.seeds:
-        path = os.path.join(out_dir, f"results_{seed}.csv")
-        if not os.path.exists(path):
-            continue
-        found = read_result_csv(path)
-        if (found.config_hash, found.artifact_version) != expected:
-            raise ConfigError(
-                f"{path} holds config_hash {found.config_hash} "
-                f"(v{found.artifact_version}), not {expected[0]} (v{expected[1]}); "
-                "move it away or choose another --out"
-            )
-
-
-def run_seed_grid(config: ExperimentConfig, out_dir: str, jobs: int) -> list[str]:
-    """Run every seed whose result file does not exist yet; return all paths.
-
-    Completed files are never overwritten, so an interrupted grid resumes
-    where it stopped.  The caller must first reject completed files from
-    another config or artifact version with `check_existing`.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in config.seeds]
-    pending = [
-        (seed, path)
-        for seed, path in zip(config.seeds, paths)
-        if not os.path.exists(path)
-    ]
-    workers = min(jobs, len(pending))  # fork starts every worker at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, config, seed, path) for seed, path in pending
-            ]
-            for future in futures:
-                future.result()
-    else:
-        for seed, path in pending:
-            _run_one(config, seed, path)
-    return paths
-
-
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     arr = arr[~np.isnan(arr)]
@@ -136,17 +91,24 @@ def _run_grids(
     summary_path: str,
     config: ExperimentConfig,
 ) -> None:
-    """Run each (leading cells, config, directory) variant's seed grid and
-    write one summary row per variant.
+    """Run every pending seed of each (leading cells, config, directory)
+    variant and write one summary row per variant.
 
-    Every variant is validated, checked to differ from the others, and its
-    existing result files checked, before any runs.  The leading cells fill
-    the first columns; the rest are named from the variant's seed grid.
+    Before anything runs, every variant is validated and checked to differ
+    from the others, and each existing `results_<seed>.csv` is parsed and
+    checked to hold that variant's config hash, artifact version and seed.
+    Missing files are run, all in one process pool when `jobs` > 1;
+    completed files are never overwritten, so an interrupted grid resumes
+    where it stopped.  The leading cells fill the first columns; the rest
+    are named from the variant's seed grid.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dirs: dict[str, str] = {}
-    for _, cfg, out_dir in variants:
+    files: dict[str, ResultFile] = {}
+    pending = []
+    grid = []  # (leading cells, config hash, result paths) per variant
+    for lead, cfg, out_dir in variants:
         validate(cfg)
         digest = config_hash(cfg)
         if digest in dirs:
@@ -155,15 +117,41 @@ def _run_grids(
                 f"(config_hash {digest})"
             )
         dirs[digest] = out_dir
-        check_existing(cfg, out_dir)
+        paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in cfg.seeds]
+        grid.append((lead, digest, paths))
+        for seed, path in zip(cfg.seeds, paths):
+            if not os.path.exists(path):
+                pending.append((cfg, seed, path))
+                continue
+            found = files[path] = read_result_csv(path)
+            if (found.config_hash, found.artifact_version, found.seed) != (
+                digest, __version__, seed
+            ):
+                raise ConfigError(
+                    f"{path} holds seed {found.seed} under config_hash "
+                    f"{found.config_hash} (v{found.artifact_version}), not seed "
+                    f"{seed} under {digest} (v{__version__}); "
+                    "move it away or choose another --out"
+                )
+    for out_dir in dirs.values():
+        os.makedirs(out_dir, exist_ok=True)
+    workers = min(jobs, len(pending))  # fork starts every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_one, *run) for run in pending]
+            for future in futures:
+                future.result()
+    else:
+        for run in pending:
+            _run_one(*run)
+    for _, _, path in pending:
+        files[path] = read_result_csv(path)
     rows = []
-    for lead, cfg, out_dir in variants:
-        files = [read_result_csv(p) for p in run_seed_grid(cfg, out_dir, jobs)]
-        cells = {k: format_float(v) for k, v in summarize(files).items()}
+    for lead, digest, paths in grid:
+        group = [files[path] for path in paths]
+        cells = {k: format_float(v) for k, v in summarize(group).items()}
         cells.update(
-            n_seeds=str(len(files)),
-            config_hash=config_hash(cfg),
-            artifact_version=__version__,
+            n_seeds=str(len(group)), config_hash=digest, artifact_version=__version__
         )
         rows.append(lead + [cells[c] for c in columns[len(lead):]])
     write_table(summary_path, columns, rows, provenance_comments(config))

@@ -110,7 +110,7 @@ def read_result_csv(path: str) -> ResultFile:
     header: list[str] | None = None
     out: ResultFile | None = None
     with open(path, encoding="utf-8") as fh:
-        for raw_line in fh:
+        for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.rstrip("\n")
             if not line:
                 continue
@@ -126,6 +126,11 @@ def read_result_csv(path: str) -> ResultFile:
                 if header != RESULT_COLUMNS:
                     raise DataLoadError(f"unexpected result header in {path}")
                 continue
+            if len(cells) != len(header):
+                raise DataLoadError(
+                    f"{path} line {lineno}: {len(cells)} cells, "
+                    f"expected {len(header)}"
+                )
             row = dict(zip(header, cells))
             if out is None:
                 out = ResultFile(

@@ -55,6 +55,23 @@ def read_table(path):
     return rows
 
 
+def cut_result_row(path, cut):
+    """Shorten one data row of a result file in place: the second epoch row
+    to its first four cells, or the final row by its last two cells."""
+    lines = path.read_text().splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    if cut == "epoch-row":
+        i = rows[2]  # rows[0] is the header
+        lines[i] = ",".join(lines[i].split(",")[:4]) + "\n"
+    else:
+        i = rows[-1]
+        lines[i] = ",".join(lines[i].split(",")[:-2]) + "\n"
+    path.write_text("".join(lines))
+
+
+CUTS = ["epoch-row", "final-row"]
+
+
 class TestRun:
     def test_produces_result_and_summary_files(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -168,6 +185,32 @@ class TestRun:
         target.write_text(text.replace(f",{soqal.__version__}\n", ",0.0.0\n"))
         assert main(["run", "--config", config_path, "--out", str(out)]) == 1
 
+    def test_result_file_of_another_seed_stops_the_run(self, config_path, tmp_path, capsys):
+        out = tmp_path / "reseeded"
+        argv = ["run", "--config", config_path, "--out", str(out)]
+        assert main(argv) == 0
+        summary = (out / "summary.csv").read_bytes()
+        (out / "results_0.csv").write_bytes((out / "results_1.csv").read_bytes())
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'results_0.csv'} holds seed 1 " in err
+        assert "not seed 0 " in err
+        assert (out / "summary.csv").read_bytes() == summary
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_short_result_row_exits_one_naming_the_file(
+        self, config_path, tmp_path, capsys, cut
+    ):
+        out = tmp_path / "short"
+        argv = ["run", "--config", config_path, "--out", str(out)]
+        assert main(argv) == 0
+        target = out / "results_1.csv"
+        cut_result_row(target, cut)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target} line ")
+
     def test_unknown_oracle_kind_exits_one_before_writing(self, config_path, tmp_path):
         out = tmp_path / "bogus"
         code = main(["run", "--config", config_path, "--set", "oracle.kind=bogus",
@@ -249,11 +292,18 @@ class TestRun:
         assert (out / "results_101.csv").exists()
 
     def test_parallel_jobs_match_sequential(self, config_path, tmp_path):
-        seq, par = tmp_path / "seq", tmp_path / "par"
-        main(["run", "--config", config_path, "--out", str(seq)])
-        main(["run", "--config", config_path, "--jobs", "2", "--out", str(par)])
-        for name in ("results_0.csv", "results_1.csv"):
-            assert (seq / name).read_bytes() == (par / name).read_bytes()
+        for case, strategies in enumerate([[], ["full-oracle", "no-oracle"]]):
+            argv = ["run", "--config", config_path]
+            for name in strategies:
+                argv += ["--strategy", name]
+            seq, par = tmp_path / f"seq{case}", tmp_path / f"par{case}"
+            assert main(argv + ["--out", str(seq)]) == 0
+            assert main(argv + ["--jobs", "2", "--out", str(par)]) == 0
+            names = sorted(str(p.relative_to(seq)) for p in seq.rglob("*.csv"))
+            assert len(names) == 1 + 2 * max(1, len(strategies))  # summary + results
+            assert names == sorted(str(p.relative_to(par)) for p in par.rglob("*.csv"))
+            for name in names:
+                assert (seq / name).read_bytes() == (par / name).read_bytes()
 
     def test_pool_has_no_more_workers_than_pending_seeds(self, config_path, tmp_path, monkeypatch):
         started = []
@@ -267,6 +317,11 @@ class TestRun:
         assert main(["run", "--config", config_path, "--jobs", "64",
                      "--out", str(tmp_path / "capped")]) == 0
         assert started == [2]
+        started.clear()
+        assert main(["run", "--config", config_path, "--jobs", "64",
+                     "--strategy", "full-oracle", "--strategy", "no-oracle",
+                     "--out", str(tmp_path / "grid")]) == 0
+        assert started == [4]  # one pool for the 2 strategies x 2 seeds
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_one_before_writing(self, config_path, tmp_path, capsys, jobs):
@@ -452,6 +507,18 @@ class TestReport:
         for row in rates:
             assert 0.0 <= float(row["mean_ask_rate"]) <= 1.0
         assert all(r["noise"] == "noise-free" for r in rates)
+
+    @pytest.mark.parametrize("cut", CUTS)
+    def test_short_result_row_exits_one_naming_the_file(
+        self, config_path, tmp_path, capsys, cut
+    ):
+        out = tmp_path / "short"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
+        target = out / "results_0.csv"
+        cut_result_row(target, cut)
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {target} line ")
 
     def test_empty_directory_exits_one(self, tmp_path):
         empty = tmp_path / "nothing"

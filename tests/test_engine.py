@@ -286,3 +286,41 @@ class TestRunExperiment:
         cfg = tiny_config(oracle={"kind": "random-flip", "gamma": 1.5})
         with pytest.raises(ConfigError, match="oracle.gamma"):
             run_experiment(cfg, seed=19)
+
+
+def isolation_config(strategy_name, **overrides):
+    """n = 200, 15 epochs, b = 0.1, period 3: five events, 45 acquisitions."""
+    cfg = tiny_config(strategy_name, epochs=15, **overrides)
+    return replace(
+        cfg,
+        dataset=replace(cfg.dataset, n=200),
+        active_learning=replace(cfg.active_learning, b_frac=0.1, period=3),
+    )
+
+
+# Each group's configs draw the same streams, so their runs must agree.
+ISOLATION_GROUPS = {
+    "oracle-noise-at-zero": [
+        isolation_config("full-oracle"),
+        isolation_config("full-oracle", oracle={"kind": "random-flip", "gamma": 0.0}),
+        isolation_config("full-oracle", oracle={"kind": "nn-flip", "gamma": 0.0}),
+    ],
+    "epsilon-always-asks": [
+        isolation_config("epsilon-greedy", strategy={"epsilon0": 1.0, "epsilon_decay": 1.0}),
+        isolation_config("full-oracle"),
+    ],
+    "epsilon-never-asks": [
+        isolation_config("epsilon-greedy", strategy={"epsilon0": 0.0}),
+        isolation_config("no-oracle"),
+    ],
+}
+
+
+class TestStreamIsolation:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("group", sorted(ISOLATION_GROUPS))
+    def test_configs_drawing_the_same_streams_give_the_same_run(self, group, seed):
+        first, *others = [run_experiment(cfg, seed) for cfg in ISOLATION_GROUPS[group]]
+        assert len(first.acquisitions) == 45
+        for log in others:
+            assert logs_equal(first, log)
