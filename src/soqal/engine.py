@@ -7,6 +7,13 @@ and let the questioning strategy route each pick to the oracle or to a
 self-label.  Runs are pure functions of (config, seed): RNG streams for
 data, network, strategy draws, and oracle flips are spawned separately so
 strategies that consume no randomness leave the shared streams untouched.
+
+The run state is three locals of `run_experiment`: the `labelled` id list,
+whose append order fixes the training permutation; the `assigned` training
+labels by dataset id, -1 where none is assigned (true labels reach
+evaluation and the oracle, never training); and the `unlabelled` mask over
+dataset ids.  An event runs at every multiple of the period while the pool
+is non-empty, so its index comes from the epoch: k - 1 at epoch k * period.
 """
 
 from __future__ import annotations
@@ -24,47 +31,6 @@ from .metrics import auc_ovr
 from .network import Network, train_epoch
 from .oracle import Oracle
 from .strategy import decide
-
-
-@dataclass
-class PoolState:
-    """Partition of the training split into labelled and unlabelled ids.
-
-    Assigned labels are the training targets; true labels live only in the
-    dataset and are consulted by evaluation and oracle code, never by
-    training.  Both arrays are indexed by dataset id.
-    """
-
-    labelled_ids: list[int]  # append order fixes the training permutation
-    assigned_labels: np.ndarray  # (N,) int64, -1 where none is assigned
-    unlabelled: np.ndarray  # (N,) bool
-
-    @classmethod
-    def from_initial(
-        cls, train_ids: np.ndarray, init_ids: np.ndarray, true_labels: np.ndarray
-    ) -> "PoolState":
-        labelled = np.unique(np.asarray(init_ids, dtype=np.int64))
-        assigned = np.full(len(true_labels), -1, dtype=np.int64)
-        assigned[labelled] = true_labels[labelled]
-        unlabelled = np.zeros(len(true_labels), dtype=bool)
-        unlabelled[train_ids] = True
-        unlabelled[labelled] = False
-        return cls(labelled.tolist(), assigned, unlabelled)
-
-    @property
-    def unlabelled_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.unlabelled)
-
-    def move_to_labelled(self, instance_id: int, label: int) -> None:
-        if not (0 <= instance_id < len(self.unlabelled) and self.unlabelled[instance_id]):
-            raise ValueError(f"instance {instance_id} is not in the unlabelled pool")
-        self.unlabelled[instance_id] = False
-        self.labelled_ids.append(instance_id)
-        self.assigned_labels[instance_id] = label
-
-    def training_arrays(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ids = self.labelled_ids
-        return features[ids], self.assigned_labels[ids]
 
 
 @dataclass(frozen=True)
@@ -100,20 +66,12 @@ class ResultLog:
     test_auc: float = float("nan")
     stratified_split: bool = True  # False marks the unstratified fallback
 
-    @property
-    def n_acquired(self) -> int:
-        return len(self.acquisitions)
-
-    @property
-    def n_oracle(self) -> int:
-        return sum(1 for a in self.acquisitions if a.source == "oracle")
-
 
 def ask_rate(log: ResultLog) -> float:
     """Fraction of acquired instances whose labels came from the oracle."""
-    if log.n_acquired == 0:
+    if not log.acquisitions:
         raise UndefinedMetricError("no acquisitions occurred")
-    return log.n_oracle / log.n_acquired
+    return sum(a.source == "oracle" for a in log.acquisitions) / len(log.acquisitions)
 
 
 def _build_dataset(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Dataset:
@@ -123,9 +81,11 @@ def _build_dataset(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
     return gen_synthetic(d.kind, d.n, d.classes, d.features, d.separation, seed_seq)
 
 
-def _safe_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+def _auc(net: Network, rows: np.ndarray, labels: np.ndarray) -> float:
+    """AUC of the deterministic forward on `rows`; nan where it is undefined."""
+    probs, _, _ = net.forward_batch(rows)
     try:
-        return auc_ovr(scores, labels)
+        return auc_ovr(probs, labels)
     except UndefinedMetricError:
         return float("nan")
 
@@ -160,60 +120,56 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     decision_rng = np.random.default_rng(decision_ss)
     oracle_rng = np.random.default_rng(oracle_ss)
 
-    pool = PoolState.from_initial(parts.train, parts.init_labelled, dataset.labels)
-    if not pool.labelled_ids:
+    initial = np.unique(np.asarray(parts.init_labelled, dtype=np.int64))
+    if not initial.size:
         raise ConfigError("initial labelled pool is empty")
+    labelled = initial.tolist()
+    assigned = np.full(len(dataset.labels), -1, dtype=np.int64)
+    assigned[initial] = dataset.labels[initial]
+    unlabelled = np.zeros(len(dataset.labels), dtype=bool)
+    unlabelled[parts.train] = True
+    unlabelled[initial] = False
 
-    log = ResultLog(
-        seed=int(seed),
-        config_hash=config_hash(config),
-        stratified_split=parts.stratified,
-    )
-    val_labels = dataset.labels[parts.val]
-    acquisition_index = 0
+    log = ResultLog(int(seed), config_hash(config), stratified_split=parts.stratified)
 
     for epoch in range(1, config.training.epochs + 1):
-        x_lab, y_lab = pool.training_arrays(features)
+        x_lab, y_lab = features[labelled], assigned[labelled]
         stats_epoch = train_epoch(
-            net,
-            x_lab,
-            y_lab,
-            config.training.learning_rate,
-            config.training.batch_size,
-            net_rng,
+            net, x_lab, y_lab, config.training.learning_rate, config.training.batch_size, net_rng
         )
 
-        lab_probs, lab_gate, _ = net.forward_batch(x_lab)
+        # Drop the forward cache: kept to the next epoch, it raises peak memory.
+        lab_probs, lab_gate = net.forward_batch(x_lab)[:2]
         e_flags = (lab_probs.argmax(axis=1) != y_lab).astype(np.int64)
         gate_stats = fit_conditional_gaussians(lab_gate, e_flags)
 
-        val_probs, _, _ = net.forward_batch(features[parts.val])
-        val_auc = _safe_auc(val_probs, val_labels)
+        val_auc = _auc(net, features[parts.val], dataset.labels[parts.val])
 
-        if epoch % al.period == 0 and al.b_frac > 0.0 and pool.unlabelled.any():
-            _acquire(
-                config,
-                seed,
-                epoch,
-                acquisition_index,
-                net,
-                features,
-                dataset,
-                pool,
-                gate_stats,
-                oracle,
-                decision_rng,
-                oracle_rng,
-                log,
+        if epoch % al.period == 0 and al.b_frac > 0.0 and unlabelled.any():
+            picked, labels = _acquire(
+                config, seed, epoch, net, features, np.flatnonzero(unlabelled),
+                gate_stats, decision_rng,
             )
-            acquisition_index += 1
+            for instance_id, label in zip(picked, labels.tolist()):
+                true_label = int(dataset.labels[instance_id])
+                asked = label < 0
+                if asked:
+                    label = oracle.label(instance_id, true_label, oracle_rng)
+                assigned[instance_id] = label
+                log.acquisitions.append(
+                    AcquisitionRecord(
+                        epoch=epoch,
+                        acquisition_index=epoch // al.period - 1,
+                        instance_id=instance_id,
+                        source="oracle" if asked else "self",
+                        assigned_label=int(label),
+                        true_label=true_label,
+                    )
+                )
+            unlabelled[picked] = False
+            labelled += picked
 
-        if gate_stats.valid:
-            chern = chernoff_bound(gate_stats, config.chernoff_mode)
-            bound, beta_star = chern.bound, chern.beta_star
-        else:
-            bound, beta_star = float("nan"), float("nan")
-        cum_rate = log.n_oracle / log.n_acquired if log.n_acquired else 0.0
+        chern = chernoff_bound(gate_stats, config.chernoff_mode)
         log.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -221,18 +177,17 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
                 gate_loss=stats_epoch.mean_gate_loss,
                 val_auc=val_auc,
                 d_hellinger=gate_stats.d_hellinger,
-                chernoff_bound=bound,
-                beta_star=beta_star,
-                cum_ask_rate=cum_rate,
-                n_labelled=len(pool.labelled_ids),
-                n_unlabelled=int(pool.unlabelled.sum()),
+                chernoff_bound=chern.bound,
+                beta_star=chern.beta_star,
+                cum_ask_rate=ask_rate(log) if log.acquisitions else 0.0,
+                n_labelled=len(labelled),
+                n_unlabelled=int(unlabelled.sum()),
             )
         )
-        if not pool.unlabelled.any():
+        if not unlabelled.any():
             break
 
-    test_probs, _, _ = net.forward_batch(features[parts.test])
-    log.test_auc = _safe_auc(test_probs, dataset.labels[parts.test])
+    log.test_auc = _auc(net, features[parts.test], dataset.labels[parts.test])
     return log
 
 
@@ -240,22 +195,20 @@ def _acquire(
     config: ExperimentConfig,
     seed: int,
     epoch: int,
-    acquisition_index: int,
     net: Network,
     features: np.ndarray,
-    dataset: Dataset,
-    pool: PoolState,
+    candidates: np.ndarray,
     gate_stats: GateStats,
-    oracle: Oracle,
     decision_rng: np.random.Generator,
-    oracle_rng: np.random.Generator,
-    log: ResultLog,
-) -> None:
-    """One acquisition event: score, select, question, transfer."""
+) -> tuple[list[int], np.ndarray]:
+    """One acquisition event: score, select, decide.
+
+    Returns the picked ids, in id order, and per pick the self-label or -1
+    where the oracle is asked.
+    """
     al = config.active_learning
     # Strategy draws consume the decision stream in instance-id order; the
     # candidates are in id order, so sorted positions give sorted ids.
-    candidates = pool.unlabelled_ids
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
         rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))
@@ -269,21 +222,7 @@ def _acquire(
 
     _, gate_det, _ = net.forward_batch(features[picked])
     labels = decide(
-        config.strategy, acquisition_index, gate_stats, gate_det, probs.mean(axis=1), decision_rng
+        config.strategy, epoch // al.period - 1, gate_stats, gate_det, probs.mean(axis=1),
+        decision_rng,
     )
-    for instance_id, label in zip(picked, labels.tolist()):
-        true_label = int(dataset.labels[instance_id])
-        asked = label < 0
-        if asked:
-            label = oracle.label(instance_id, true_label, oracle_rng)
-        pool.move_to_labelled(instance_id, label)
-        log.acquisitions.append(
-            AcquisitionRecord(
-                epoch=epoch,
-                acquisition_index=acquisition_index,
-                instance_id=instance_id,
-                source="oracle" if asked else "self",
-                assigned_label=int(label),
-                true_label=true_label,
-            )
-        )
+    return picked, labels

@@ -13,9 +13,5 @@ class DataLoadError(SoqalError):
     """A dataset file could not be parsed; the message names the position."""
 
 
-class GateNotReadyError(SoqalError):
-    """Gate statistics requested while the conditional fit is invalid."""
-
-
 class UndefinedMetricError(SoqalError):
     """A metric was requested on inputs for which it has no defined value."""

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GateNotReadyError
-
 VAR_FLOOR = 1e-6  # fitted variances never drop below this
 
 
@@ -122,12 +120,13 @@ def chernoff_bound(stats: GateStats, mode: str = "full-bound") -> ChernoffResult
     bound on the Bayes error for every b in [0, 1].  The optimal b* comes
     from a 1001-point grid; mode "full-bound" minimizes bound(b) itself,
     mode "exponent-only" maximizes k(b).  Ties resolve toward b = 0.5.  The
-    reported bound is always the full bound evaluated at b*.
+    reported bound is always the full bound evaluated at b*.  While the fit
+    is invalid both fields are nan.
     """
-    if not stats.valid:
-        raise GateNotReadyError("gate statistics are not valid yet")
     if mode not in ("full-bound", "exponent-only"):
         raise ValueError(f"unknown mode: {mode}")
+    if not stats.valid:
+        return ChernoffResult(bound=float("nan"), beta_star=float("nan"))
     beta = np.linspace(0.0, 1.0, 1001)
     mixed_var = beta * stats.var1 + (1.0 - beta) * stats.var0
     k = beta * (1.0 - beta) * (stats.mu0 - stats.mu1) ** 2 / (2.0 * mixed_var)

@@ -132,21 +132,28 @@ def read_result_csv(path: str) -> ResultFile:
                     f"expected {len(header)}"
                 )
             row = dict(zip(header, cells))
+
+            def number(name: str, parse=_parse_float):
+                try:
+                    return parse(row[name])
+                except ValueError:
+                    raise DataLoadError(
+                        f"{path} line {lineno}: column {name}: not a number: {row[name]!r}"
+                    ) from None
+
             if out is None:
                 out = ResultFile(
                     path=path,
-                    seed=int(row["seed"]),
+                    seed=number("seed", int),
                     config_hash=row["config_hash"],
                     artifact_version=row["artifact_version"],
                     cfg=cfg,
                 )
             if row["epoch"] == "final":
-                out.test_auc = _parse_float(row["test_auc"])
-                out.final_ask_rate = _parse_float(row["cum_ask_rate"])
+                out.test_auc = number("test_auc")
+                out.final_ask_rate = number("cum_ask_rate")
             else:
-                out.epoch_rows.append(
-                    {f.name: _parse_float(row[f.name]) for f in fields(EpochRecord)}
-                )
+                out.epoch_rows.append({f.name: number(f.name) for f in fields(EpochRecord)})
     if out is None or header is None:
         raise DataLoadError(f"no result rows in {path}")
     return out

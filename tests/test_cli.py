@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -13,7 +14,8 @@ import soqal
 from soqal.cli import main
 from soqal.results import read_result_csv
 
-EXAMPLE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "example.cfg")
+REPO = Path(__file__).resolve().parent.parent
+EXAMPLE_CONFIG = str(REPO / "configs" / "example.cfg")
 
 TINY_CONFIG = """
 dataset.kind = gaussian-blobs
@@ -56,20 +58,27 @@ def read_table(path):
 
 
 def cut_result_row(path, cut):
-    """Shorten one data row of a result file in place: the second epoch row
-    to its first four cells, or the final row by its last two cells."""
+    """Damage one data row of a result file in place: shorten the second
+    epoch row to its first four cells or the final row by its last two
+    cells, or put a word in the second epoch row's val_auc or the first
+    row's seed."""
     lines = path.read_text().splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    i = rows[-1] if cut == "final-row" else rows[1] if cut == "non-numeric-seed" else rows[2]
+    cells = lines[i].rstrip("\n").split(",")  # rows[0] is the header
     if cut == "epoch-row":
-        i = rows[2]  # rows[0] is the header
-        lines[i] = ",".join(lines[i].split(",")[:4]) + "\n"
+        cells = cells[:4]
+    elif cut == "final-row":
+        cells = cells[:-2]
+    elif cut == "non-numeric-cell":
+        cells[4] = "abc"
     else:
-        i = rows[-1]
-        lines[i] = ",".join(lines[i].split(",")[:-2]) + "\n"
+        cells[0] = "x"
+    lines[i] = ",".join(cells) + "\n"
     path.write_text("".join(lines))
 
 
-CUTS = ["epoch-row", "final-row"]
+CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed"]
 
 
 class TestRun:
@@ -377,6 +386,44 @@ PINNED_RESULTS = {
         {0: "a0e93aa37b92", 1: "eeef49fea201"},
     ),
 }
+# sha256[:12] of every CSV the benchmark's workloads write on their fixed
+# seed panel (perfbench/workloads.py), on the same numpy version.
+PINNED_PANELS = {
+    "pool-bald": {"results_0.csv": "d238421aeea2", "summary.csv": "d64159229897"},
+    "train-wide": {"results_0.csv": "d669254c597d", "summary.csv": "c934db88a9f5"},
+    "grid-nnflip": {
+        "askrate.csv": "5034027077e9",
+        "curves.csv": "c0d1b91786ef",
+        "summary.csv": "ddaac1e9aa22",
+        "soqal/results_0.csv": "9307cfc4a634",
+        "soqal/results_1.csv": "df91e5bd577f",
+        "entropy-response/results_0.csv": "1c6aee2276e9",
+        "entropy-response/results_1.csv": "3969873e4fe9",
+        "epsilon-greedy/results_0.csv": "244ef75d73f6",
+        "epsilon-greedy/results_1.csv": "63c76afd3edd",
+    },
+}
+
+
+def benchmark_workloads():
+    """perfbench's workload table, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+def csv_digests(directory):
+    return {
+        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+        for path in directory.rglob("*.csv")
+    }
 
 
 class TestPinnedResults:
@@ -385,7 +432,7 @@ class TestPinnedResults:
         reason=f"digests are pinned on numpy {PINNED_NUMPY}, whose random streams "
         f"and float rounding they record; this is numpy {np.__version__}",
     )
-    def test_result_digests_match_pins(self, tmp_path):
+    def test_result_digests_match_pins(self, tmp_path, monkeypatch):
         found = {}
         for name, (settings, _) in PINNED_RESULTS.items():
             cfg = tmp_path / f"{name}.cfg"
@@ -397,9 +444,17 @@ class TestPinnedResults:
                 for seed in (0, 1)
             }
         pinned = {name: digests for name, (_, digests) in PINNED_RESULTS.items()}
+        monkeypatch.chdir(REPO)  # the workloads name the config relative to the root
+        for name, workload in benchmark_workloads().items():
+            out = tmp_path / "panel" / name
+            assert main(workload.run_argv(workload.seeds(None), str(out))) == 0
+            if workload.report:
+                assert main(["report", "--in", str(out)]) == 0
+            found[f"panel {name}"] = csv_digests(out)
+            pinned[f"panel {name}"] = PINNED_PANELS[name]
         assert found == pinned, (
             "result bytes changed: if intended, bump artifact_version and update "
-            "PINNED_RESULTS; otherwise a change broke reproducibility"
+            "PINNED_RESULTS and PINNED_PANELS; otherwise a change broke reproducibility"
         )
 
 

@@ -10,7 +10,6 @@ from soqal.data import split
 from soqal.engine import (
     AcquisitionRecord,
     EpochRecord,
-    PoolState,
     ResultLog,
     ask_rate,
     run_experiment,
@@ -65,37 +64,6 @@ def fabricated_log(n_oracle, n_self):
     return log
 
 
-class TestPoolState:
-    def test_initial_partition(self):
-        pool = PoolState.from_initial(
-            train_ids=np.array([3, 5, 7, 9]),
-            init_ids=np.array([5, 9]),
-            true_labels=np.arange(10),
-        )
-        assert pool.labelled_ids == [5, 9]
-        assert pool.unlabelled_ids.tolist() == [3, 7]
-        assert pool.assigned_labels[[5, 9]].tolist() == [5, 9]
-        assert np.all(np.delete(pool.assigned_labels, [5, 9]) == -1)
-
-    def test_move_preserves_conservation(self):
-        pool = PoolState.from_initial(np.arange(6), np.array([0, 1]), np.zeros(6, int))
-        pool.move_to_labelled(4, label=1)
-        assert 4 in pool.labelled_ids and 4 not in pool.unlabelled_ids
-        assert pool.assigned_labels[4] == 1
-        assert len(pool.labelled_ids) + len(pool.unlabelled_ids) == 6
-        pool.move_to_labelled(2, label=0)
-        assert pool.labelled_ids == [0, 1, 4, 2]  # append order, not sorted
-        _, y = pool.training_arrays(np.zeros((6, 1)))
-        assert y.tolist() == [0, 0, 1, 0]
-
-    def test_moving_non_member_fails(self):
-        pool = PoolState.from_initial(np.arange(4), np.array([0]), np.zeros(4, int))
-        with pytest.raises(ValueError):
-            pool.move_to_labelled(99, 0)
-        with pytest.raises(ValueError):
-            pool.move_to_labelled(0, 0)  # already labelled
-
-
 class TestAskRate:
     def test_direct_ratio(self):
         assert ask_rate(fabricated_log(7, 3)) == 0.7
@@ -112,7 +80,7 @@ class TestAskRate:
 class TestRunExperiment:
     def test_full_oracle_noise_free_labels_are_true(self):
         log = run_experiment(tiny_config("full-oracle"), seed=0)
-        assert log.n_acquired > 0
+        assert log.acquisitions
         for record in log.acquisitions:
             assert record.source == "oracle"
             assert record.assigned_label == record.true_label
@@ -120,7 +88,7 @@ class TestRunExperiment:
 
     def test_no_oracle_never_asks(self):
         log = run_experiment(tiny_config("no-oracle"), seed=0)
-        assert log.n_acquired > 0
+        assert log.acquisitions
         assert all(r.source == "self" for r in log.acquisitions)
         assert ask_rate(log) == 0.0
 
@@ -174,7 +142,7 @@ class TestRunExperiment:
         cfg = tiny_config("full-oracle", epochs=12,
                           active_learning={"b_frac": 0.0})
         log = run_experiment(cfg, seed=8)
-        assert log.n_acquired == 0
+        assert not log.acquisitions
         assert len(log.epochs) == 12
         assert all(r.cum_ask_rate == 0.0 for r in log.epochs)
         with pytest.raises(UndefinedMetricError):
@@ -240,7 +208,7 @@ class TestRunExperiment:
             cfg = tiny_config("soqal", epochs=10,
                               active_learning={"acquisition": name})
             log = run_experiment(cfg, seed=14)
-            assert log.n_acquired > 0
+            assert log.acquisitions
 
     def test_epoch_records_have_finite_core_metrics(self):
         log = run_experiment(tiny_config("soqal"), seed=15)

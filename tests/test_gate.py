@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from soqal.errors import GateNotReadyError
 from soqal.gate import (
     VAR_FLOOR,
     ChernoffResult,
@@ -242,12 +242,15 @@ class TestChernoffBound:
         assert expo.beta_star == pytest.approx(full.beta_star, abs=1e-3)
         assert expo.bound == pytest.approx(full.bound, rel=1e-9)
 
-    def test_invalid_stats_rejected(self):
+    def test_invalid_stats_give_nan(self):
         stats = GateStats(0.2, 0.01, 0.8, 0.01, 1.0, 0.0, 0.0, valid=False)
-        with pytest.raises(GateNotReadyError):
-            chernoff_bound(stats)
+        for mode in ("full-bound", "exponent-only"):
+            result = chernoff_bound(stats, mode)
+            assert math.isnan(result.bound) and math.isnan(result.beta_star)
 
     def test_unknown_mode_rejected(self):
         stats = GateStats(0.3, 0.01, 0.7, 0.01, 0.5, 0.5, 0.8, True)
         with pytest.raises(ValueError):
             chernoff_bound(stats, mode="fastest")
+        with pytest.raises(ValueError):
+            chernoff_bound(replace(stats, valid=False), mode="fastest")

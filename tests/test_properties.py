@@ -1,7 +1,9 @@
-"""Property tests for the core math, run with a fixed example sequence
-(`derandomize=True`) so the suite stays deterministic."""
+"""Property tests for the core math and for whole runs, with a fixed
+example sequence (`derandomize=True`) so the suite stays deterministic."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,10 +13,13 @@ from scipy import integrate
 from scipy.stats import norm, rankdata
 
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
-from soqal.data import _largest_remainder
+from soqal.config import ACQUISITION_NAMES, ExperimentConfig
+from soqal.data import SYNTHETIC_KINDS, _largest_remainder, split
+from soqal.engine import _build_dataset, run_experiment
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.metrics import _midranks, auc_binary
-from soqal.oracle import NeighborTable
+from soqal.oracle import ORACLE_KINDS, NeighborTable
+from soqal.strategy import STRATEGY_NAMES
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -137,3 +142,98 @@ def test_neighbor_row_is_lowest_row_at_minimum_distance(case):
         nearest = dist[other].min()
         expected = min(j for j in range(len(ids)) if other[j] and dist[j] == nearest)
         assert table.neighbor_row(instance_id) == expected
+
+
+@st.composite
+def small_runs(draw):
+    """A (config, seed) pair: n <= 200, at most 10 epochs, T <= 5."""
+    kind = draw(st.sampled_from(SYNTHETIC_KINDS))
+    classes = 2 if kind == "ring-vs-blob" else draw(st.integers(2, 4))
+    base = ExperimentConfig()
+    config = replace(
+        base,
+        dataset=replace(
+            base.dataset,
+            kind=kind,
+            n=draw(st.integers(60, 200)),
+            classes=classes,
+            features=draw(st.integers(max(2, classes), 5)),
+            separation=draw(st.floats(0.5, 3.0)),
+        ),
+        network=replace(base.network, hidden=(8,), dropout=draw(st.floats(0.0, 0.6))),
+        training=replace(base.training, epochs=draw(st.integers(1, 10))),
+        active_learning=replace(
+            base.active_learning,
+            mc_passes=draw(st.integers(1, 5)),
+            period=draw(st.integers(1, 4)),
+            b_frac=draw(st.floats(0.0, 1.0)),
+            acquisition=draw(st.sampled_from(ACQUISITION_NAMES)),
+        ),
+        strategy=replace(
+            base.strategy,
+            name=draw(st.sampled_from(STRATEGY_NAMES)),
+            hellinger_threshold=draw(st.floats(0.0, 1.0)),
+            entropy_threshold=draw(st.floats(0.0, 1.0)),
+            epsilon0=draw(st.floats(0.0, 1.0)),
+            epsilon_decay=draw(st.floats(0.1, 1.0)),
+        ),
+        oracle=replace(
+            base.oracle,
+            kind=draw(st.sampled_from(ORACLE_KINDS)),
+            gamma=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
+        ),
+    )
+    return config, draw(st.integers(0, 2**16))
+
+
+@PROPERTY
+@given(small_runs())
+def test_run_conserves_the_pool_and_records_provenance(case):
+    config, seed = case
+    log = run_experiment(config, seed)
+
+    # The run's dataset and split, rebuilt from its own streams.
+    synth_ss, split_ss = np.random.SeedSequence(seed).spawn(5)[:2]
+    dataset = _build_dataset(config, synth_ss)
+    d, al = config.dataset, config.active_learning
+    parts = split(dataset, (d.train_frac, d.val_frac, d.test_frac), split_ss,
+                  init_labelled_frac=al.init_labelled_frac)
+    train, initial = set(parts.train.tolist()), set(parts.init_labelled.tolist())
+
+    ids = [a.instance_id for a in log.acquisitions]
+    assert len(ids) == len(set(ids))
+    assert set(ids) <= train - initial
+
+    # Every multiple of the period moves ceil(b * remaining) ids while the
+    # pool is non-empty; the event index counts those events from 0.
+    moved = Counter(a.epoch for a in log.acquisitions)
+    events, labelled, asked, acquired = [], len(initial), 0, 0
+    for row in log.epochs:
+        remaining = len(train) - labelled
+        if row.epoch % al.period == 0 and al.b_frac > 0.0:
+            assert moved[row.epoch] == math.ceil(al.b_frac * remaining)
+            events.append(row.epoch)
+        else:
+            assert moved[row.epoch] == 0
+        labelled += moved[row.epoch]
+        asked += sum(a.source == "oracle" for a in log.acquisitions if a.epoch == row.epoch)
+        acquired += moved[row.epoch]
+        assert (row.n_labelled, row.n_unlabelled) == (labelled, len(train) - labelled)
+        assert row.cum_ask_rate == (asked / acquired if acquired else 0.0)
+    assert len(log.epochs) == config.training.epochs or log.epochs[-1].n_unlabelled == 0
+    assert all(row.n_unlabelled > 0 for row in log.epochs[:-1])
+    for a in log.acquisitions:
+        assert a.acquisition_index == events.index(a.epoch) == a.epoch // al.period - 1
+
+    oracle, strategy = config.oracle, config.strategy.name
+    for a in log.acquisitions:
+        assert a.true_label == dataset.labels[a.instance_id]
+        assert 0 <= a.assigned_label < dataset.n_classes
+        if a.source == "oracle" and (oracle.kind == "noise-free" or oracle.gamma == 0.0):
+            assert a.assigned_label == a.true_label
+        if a.source == "oracle" and oracle.kind != "noise-free" and oracle.gamma == 1.0:
+            assert a.assigned_label != a.true_label  # every answer is a flip
+    if strategy == "no-oracle":
+        assert all(a.source == "self" for a in log.acquisitions)
+    if strategy == "full-oracle":
+        assert all(a.source == "oracle" for a in log.acquisitions)
