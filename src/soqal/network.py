@@ -28,16 +28,6 @@ from .errors import ConfigError
 PROB_FLOOR = 1e-12  # clamp applied to every probability before a log
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
@@ -142,6 +132,9 @@ class Network:
 
         Returns (class_probs (B, C), gate_outputs (B,), cache for backward).
         `masks=None` is the deterministic mode: no units dropped, no scaling.
+        Each layer's matmul allocates its output and every later step of the
+        layer runs in place on it, so inputs and masks are never written.
+        The cache keeps the inputs, every layer's output and the masks.
         """
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
@@ -150,18 +143,22 @@ class Network:
             )
         keep = 1.0 - self.dropout_rate
         activations = [x]
-        pre_relu = []
         h = x
         for idx, layer in enumerate(self.trunk):
-            z = h @ layer.weight.T + layer.bias
-            pre_relu.append(z)
-            h = relu(z)
+            h = h @ layer.weight.T
+            h += layer.bias
+            np.maximum(h, 0.0, out=h)
             if masks is not None:
-                h = h * masks[idx] / keep
+                h *= masks[idx]
+                h /= keep
             activations.append(h)
-        class_probs = softmax_rows(h @ self.class_head.weight.T + self.class_head.bias)
+        class_probs = h @ self.class_head.weight.T
+        class_probs += self.class_head.bias
+        class_probs -= class_probs.max(axis=1, keepdims=True)
+        np.exp(class_probs, out=class_probs)
+        class_probs /= class_probs.sum(axis=1, keepdims=True)
         gate = sigmoid((h @ self.gate_head.weight.T + self.gate_head.bias)[:, 0])
-        cache = {"activations": activations, "pre_relu": pre_relu, "masks": masks,
+        cache = {"activations": activations, "masks": masks,
                  "class_probs": class_probs, "gate": gate}
         return class_probs, gate, cache
 
@@ -195,11 +192,14 @@ class Network:
         for idx in range(len(self.trunk) - 1, -1, -1):
             if masks is not None:
                 d_h = d_h * masks[idx] / keep
-            d_z = d_h * (cache["pre_relu"][idx] > 0.0)
+            # A layer output is positive exactly where its pre-activation is:
+            # a kept unit is relu(z) / keep, a dropped one is 0 with d_h ±0.
+            d_z = d_h * (cache["activations"][idx + 1] > 0.0)
             grads_trunk.append(
                 (d_z.T @ cache["activations"][idx], d_z.sum(axis=0))
             )
-            d_h = d_z @ self.trunk[idx].weight
+            if idx:  # the input gradient of the first layer is not needed
+                d_h = d_z @ self.trunk[idx].weight
         grads_trunk.reverse()
 
         flat: list[np.ndarray] = []

@@ -161,7 +161,9 @@ def test_criterion_2_gradient_check():
             masks = net.make_masks(3, rng)
             _, _, cache = net.forward_batch(x, masks)
             # Central differences are invalid within a step of a relu kink.
-            if min(np.abs(z).min() for z in cache["pre_relu"]) <= 1e-4:
+            pre = [a @ layer.weight.T + layer.bias
+                   for a, layer in zip(cache["activations"], net.trunk)]
+            if min(np.abs(z).min() for z in pre) <= 1e-4:
                 continue
             targets = rng.integers(0, 3, size=3)
             errors = np.array([0.0, 1.0, float(rng.integers(0, 2))])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
@@ -69,6 +71,109 @@ class TestForward:
         net = tiny_net()
         with pytest.raises(ConfigError):
             net.forward_batch(np.ones((1, 5)))
+
+
+def reference_forward(net, x, masks):
+    """Out-of-place forward: each layer's input and pre-activation, then
+    softmax rows and the two-branch sigmoid of the gate logit."""
+    keep = 1.0 - net.dropout_rate
+    inputs, pre = [], []
+    h = x
+    for idx, layer in enumerate(net.trunk):
+        inputs.append(h)
+        pre.append(h @ layer.weight.T + layer.bias)
+        h = np.maximum(pre[-1], 0.0)
+        if masks is not None:
+            h = h * masks[idx] / keep
+    logits = h @ net.class_head.weight.T + net.class_head.bias
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    z = (h @ net.gate_head.weight.T + net.gate_head.bias)[:, 0]
+    gate = np.empty_like(z)
+    pos = z >= 0
+    gate[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    gate[~pos] = ez / (1.0 + ez)
+    return inputs, pre, h, probs, gate
+
+
+def reference_backward(net, x, masks, targets, errors, beta):
+    """Gradients ordered like parameters(), gating the relu on z > 0."""
+    keep = 1.0 - net.dropout_rate
+    inputs, pre, top, probs, gate = reference_forward(net, x, masks)
+    d_logits = probs.copy()
+    d_logits[np.arange(len(targets)), targets] -= 1.0
+    d_gate = (1.0 - errors) * gate - beta * errors * (1.0 - gate)
+    d_h = d_logits @ net.class_head.weight
+    if not net.gate_detached:
+        d_h = d_h + d_gate[:, None] * net.gate_head.weight
+    trunk = []
+    for idx in range(len(net.trunk) - 1, -1, -1):
+        if masks is not None:
+            d_h = d_h * masks[idx] / keep
+        d_z = d_h * (pre[idx] > 0.0)
+        trunk = [d_z.T @ inputs[idx], d_z.sum(axis=0), *trunk]
+        d_h = d_z @ net.trunk[idx].weight
+    return [*trunk, d_logits.T @ top, d_logits.sum(axis=0),
+            (d_gate[:, None] * top).sum(axis=0, keepdims=True), np.array([d_gate.sum()])]
+
+
+@st.composite
+def forward_cases(draw, max_rows=400):
+    """A net of 1-3 trunk layers, a batch and masks (None or drawn), with
+    some units whose pre-activation is exactly zero on every row."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(1, max_rows))
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    dropout = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    rng = np.random.default_rng(seed)
+    net = tiny_net(seed=seed, dropout=dropout, n_features=draw(st.integers(1, 5)),
+                   n_classes=draw(st.integers(2, 4)), hidden=hidden,
+                   detached=draw(st.booleans()))
+    for layer in net.trunk:
+        layer.bias[:] = rng.standard_normal(len(layer.bias))
+        dead = rng.random(len(layer.bias)) < 0.25
+        layer.weight[dead] = 0.0
+        layer.bias[dead] = 0.0
+    x = rng.standard_normal((rows, net.n_features))
+    masks = net.make_masks(rows, rng) if draw(st.booleans()) else None
+    return net, x, masks, rng
+
+
+class TestInPlace:
+    """The in-place forward and the backward that reads its layer outputs
+    agree bit for bit with out-of-place references."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(forward_cases())
+    def test_forward_matches_reference_and_leaves_arguments_alone(self, case):
+        net, x, masks, _ = case
+        x_before = x.copy()
+        masks_before = None if masks is None else [m.copy() for m in masks]
+        probs, gate, cache = net.forward_batch(x, masks)
+        inputs, _, top, ref_probs, ref_gate = reference_forward(net, x_before, masks_before)
+        np.testing.assert_array_equal(probs, ref_probs)
+        np.testing.assert_array_equal(gate, ref_gate)
+        for got, want in zip(cache["activations"], [*inputs, top], strict=True):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(x, x_before)
+        if masks is not None:
+            for m, before in zip(masks, masks_before):
+                np.testing.assert_array_equal(m, before)
+
+    @settings(derandomize=True, deadline=None)
+    @given(forward_cases(max_rows=64))
+    def test_backward_matches_pre_activation_reference(self, case):
+        net, x, masks, rng = case
+        targets = rng.integers(0, net.n_classes, size=len(x))
+        errors = rng.integers(0, 2, size=len(x)).astype(np.float64)
+        beta = compute_beta(errors)
+        _, _, cache = net.forward_batch(x, masks)
+        grads = net.backward(cache, targets, errors, beta)
+        want = reference_backward(net, x, masks, targets, errors, beta)
+        assert len(grads) == len(want)
+        for got, ref in zip(grads, want):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestBatch:
@@ -192,7 +297,10 @@ def _fresh_check_case(seed, dropout=0.3, detached=False):
         x = rng.standard_normal((3, 4))
         masks = net.make_masks(3, rng) if dropout > 0 else None
         _, _, cache = net.forward_batch(x, masks)
-        closest = min(np.abs(z).min() for z in cache["pre_relu"])
+        closest = min(
+            np.abs(a @ layer.weight.T + layer.bias).min()
+            for a, layer in zip(cache["activations"], net.trunk)
+        )
         if closest > 1e-4:
             targets = rng.integers(0, 3, size=3)
             errors = rng.integers(0, 2, size=3).astype(float)

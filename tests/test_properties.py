@@ -2,8 +2,10 @@
 example sequence (`derandomize=True`) so the suite stays deterministic."""
 
 import math
+import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,10 +17,18 @@ from scipy.stats import norm, rankdata
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
 from soqal.config import ACQUISITION_NAMES, ExperimentConfig
 from soqal.data import SYNTHETIC_KINDS, _largest_remainder, split
-from soqal.engine import _build_dataset, run_experiment
+from soqal.engine import (
+    AcquisitionRecord,
+    EpochRecord,
+    ResultLog,
+    _build_dataset,
+    ask_rate,
+    run_experiment,
+)
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.metrics import _midranks, auc_binary
 from soqal.oracle import ORACLE_KINDS, NeighborTable
+from soqal.results import read_result_csv, write_result_csv
 from soqal.strategy import STRATEGY_NAMES
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -237,3 +247,71 @@ def test_run_conserves_the_pool_and_records_provenance(case):
         assert all(a.source == "self" for a in log.acquisitions)
     if strategy == "full-oracle":
         assert all(a.source == "oracle" for a in log.acquisitions)
+
+
+any_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+counts = st.integers(0, 10**6)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal as written values: nan matches nan, and the sign of zero counts."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+epoch_records = st.builds(
+    EpochRecord,
+    epoch=counts,
+    train_loss=any_float,
+    gate_loss=any_float,
+    val_auc=any_float,
+    d_hellinger=any_float,
+    chernoff_bound=any_float,
+    beta_star=any_float,
+    cum_ask_rate=any_float,
+    n_labelled=counts,
+    n_unlabelled=counts,
+)
+acquisition_records = st.builds(
+    AcquisitionRecord,
+    epoch=counts,
+    acquisition_index=counts,
+    instance_id=counts,
+    source=st.sampled_from(["oracle", "self"]),
+    assigned_label=st.integers(0, 9),
+    true_label=st.integers(0, 9),
+)
+result_logs = st.builds(
+    ResultLog,
+    seed=st.integers(0, 2**32),
+    config_hash=st.text("0123456789abcdef", min_size=1, max_size=16),
+    epochs=st.lists(epoch_records, min_size=1, max_size=6),
+    acquisitions=st.lists(acquisition_records, max_size=6),
+    test_auc=any_float,
+    stratified_split=st.booleans(),
+)
+
+
+@PROPERTY
+@given(result_logs)
+def test_result_csv_round_trips_every_field_and_rewrites_the_same_bytes(log):
+    config = ExperimentConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_result_csv(log, config, str(first))
+        write_result_csv(log, config, str(second))
+        assert first.read_bytes() == second.read_bytes()
+        parsed = read_result_csv(str(first))
+
+    assert (parsed.seed, parsed.config_hash) == (log.seed, log.config_hash)
+    assert len(parsed.epoch_rows) == len(log.epochs)
+    for row, rec in zip(parsed.epoch_rows, log.epochs):
+        for f in fields(EpochRecord):
+            assert same_float(row[f.name], getattr(rec, f.name)), f.name
+    assert same_float(parsed.test_auc, log.test_auc)
+    rate = ask_rate(log) if log.acquisitions else math.nan
+    assert same_float(parsed.final_ask_rate, rate)
