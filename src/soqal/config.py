@@ -148,8 +148,8 @@ def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentCon
     return replace(config, **{section: replace(getattr(config, section), **{attr: value})})
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    config = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    config = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -167,8 +167,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def validate(config: ExperimentConfig) -> None:
-    """Reject out-of-range values with the offending key in the message."""
-    from .data import SYNTHETIC_KINDS, broken_shape_rule
+    """The library's only range check: reject out-of-range values, naming the key."""
+    from .data import SYNTHETIC_KINDS
     from .oracle import ORACLE_KINDS
     from .strategy import STRATEGY_NAMES
 
@@ -215,9 +215,13 @@ def validate(config: ExperimentConfig) -> None:
         # One run and one result file per seed: none repeated, none negative.
         (len(seeds) >= 1 and len(set(seeds)) == len(seeds) and min(seeds) >= 0, "seeds"),
     ]
-    broken = d.source == "synthetic" and broken_shape_rule(d.kind, d.classes, d.features)
-    if broken:
-        checks.append((False, f"dataset.{broken[0]}"))
+    if d.source == "synthetic":  # the generators' shapes; a CSV brings its own
+        checks += [
+            (d.features >= 1, "dataset.features"),
+            (d.kind != "gaussian-blobs" or d.features >= d.classes, "dataset.features"),
+            (d.kind != "ring-vs-blob" or d.classes == 2, "dataset.classes"),
+            (d.kind == "gaussian-blobs" or d.features >= 2, "dataset.features"),  # 2-D kinds
+        ]
     for ok, key in checks:
         if not ok:
             raise ConfigError(f"invalid value for key: {key}")

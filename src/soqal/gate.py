@@ -98,8 +98,6 @@ def decide_ask(o: float, stats: GateStats, threshold: float) -> bool:
     threshold; otherwise ask exactly when the e=1 component is the likelier
     explanation of the observed gate output (compared in log space).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
     if not stats.valid or stats.d_hellinger < threshold:
         return True
     log1 = _log_normal_pdf(o, stats.mu1, stats.var1)

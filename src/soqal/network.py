@@ -67,12 +67,8 @@ class Network:
         seed: int | np.random.SeedSequence,
         gate_detached: bool = False,
     ) -> "Network":
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
         if n_classes < 2:
             raise ConfigError("need at least 2 classes")
-        if not hidden:
-            raise ConfigError("need at least one trunk layer")
         rng = np.random.default_rng(seed)
         trunk = []
         fan_in = n_features

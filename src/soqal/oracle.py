@@ -45,8 +45,6 @@ class NeighborTable:
 def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
     """Mean-center and project onto the top principal components."""
     x = np.asarray(features, dtype=np.float64)
-    if not 1 <= embed_dims <= x.shape[1]:
-        raise ConfigError("embed_dims must lie in [1, n_features]")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / len(x)
     _, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues

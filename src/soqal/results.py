@@ -14,7 +14,6 @@ carries the test AUC and the run's final ask-rate.  Floats are written with
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -33,8 +32,6 @@ RESULT_COLUMNS = [
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
     return repr(float(value))
 
 
@@ -109,6 +106,7 @@ def read_result_csv(path: str) -> ResultFile:
     cfg: dict[str, str] = {}
     header: list[str] | None = None
     out: ResultFile | None = None
+    last_line = final_line = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.rstrip("\n")
@@ -126,6 +124,11 @@ def read_result_csv(path: str) -> ResultFile:
                 if header != RESULT_COLUMNS:
                     raise DataLoadError(f"unexpected result header in {path}")
                 continue
+            if final_line:
+                raise DataLoadError(
+                    f"{path} line {lineno}: row after the final row (line {final_line})"
+                )
+            last_line = lineno
             if len(cells) != len(header):
                 raise DataLoadError(
                     f"{path} line {lineno}: {len(cells)} cells, "
@@ -150,12 +153,15 @@ def read_result_csv(path: str) -> ResultFile:
                     cfg=cfg,
                 )
             if row["epoch"] == "final":
+                final_line = lineno
                 out.test_auc = number("test_auc")
                 out.final_ask_rate = number("cum_ask_rate")
             else:
                 out.epoch_rows.append({f.name: number(f.name) for f in fields(EpochRecord)})
     if out is None or header is None:
         raise DataLoadError(f"no result rows in {path}")
+    if not final_line:
+        raise DataLoadError(f"{path} line {last_line + 1}: no final row")
     return out
 
 

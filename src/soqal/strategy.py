@@ -24,14 +24,8 @@ STRATEGY_NAMES = (
 
 
 def epsilon_schedule(n: int, epsilon0: float, decay: float) -> float:
-    """Ask probability epsilon0 * decay**n, clamped to [0, 1]."""
-    if not 0.0 <= epsilon0 <= 1.0:
-        raise ValueError("epsilon0 must lie in [0, 1]")
-    if not 0.0 < decay <= 1.0:
-        raise ValueError("decay must lie in (0, 1]")
-    if n < 0:
-        raise ValueError("acquisition index must be non-negative")
-    return min(1.0, max(0.0, epsilon0 * decay**n))
+    """Ask probability epsilon0 * decay**n."""
+    return epsilon0 * decay**n
 
 
 def decide(

@@ -12,6 +12,7 @@ import pytest
 
 import soqal
 from soqal.cli import main
+from soqal.errors import DataLoadError
 from soqal.results import read_result_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,10 +61,13 @@ def read_table(path):
 def cut_result_row(path, cut):
     """Damage one data row of a result file in place: shorten the second
     epoch row to its first four cells or the final row by its last two
-    cells, or put a word in the second epoch row's val_auc or the first
-    row's seed."""
+    cells, put a word in the second epoch row's val_auc or the first
+    row's seed, or delete the final row."""
     lines = path.read_text().splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    if cut == "no-final-row":
+        path.write_text("".join(lines[:rows[-1]]))
+        return
     i = rows[-1] if cut == "final-row" else rows[1] if cut == "non-numeric-seed" else rows[2]
     cells = lines[i].rstrip("\n").split(",")  # rows[0] is the header
     if cut == "epoch-row":
@@ -78,7 +82,7 @@ def cut_result_row(path, cut):
     path.write_text("".join(lines))
 
 
-CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed"]
+CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed", "no-final-row"]
 
 
 class TestRun:
@@ -246,9 +250,16 @@ class TestRun:
             (["dataset.separation=nan"], "dataset.separation"),
             (["dataset.separation=inf"], "dataset.separation"),
             (["training.learning_rate=inf"], "training.learning_rate"),
+            (["dataset.n=19"], "dataset.n"),
+            (["dataset.train_frac=0.5"], "dataset.train_frac/val_frac/test_frac"),
+            (["strategy.epsilon.d=0"], "strategy.epsilon.d"),
+            (["active_learning.init_labelled_frac=0"], "active_learning.init_labelled_frac"),
+            (["network.hidden="], "network.hidden"),
         ],
         ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
-             "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate"],
+             "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate",
+             "too-few-instances", "fractions-not-summing-to-one", "zero-epsilon-decay",
+             "zero-init-labelled", "no-hidden-layer"],
     )
     def test_out_of_range_value_exits_one_before_writing(
         self, config_path, tmp_path, capsys, settings, key
@@ -472,6 +483,31 @@ class TestResultFileSchema:
         assert all(r["config_hash"] == parsed.config_hash for r in rows)
         assert all(r["artifact_version"] for r in rows)
         assert rows[-1]["epoch"] == "final"
+
+    @pytest.mark.parametrize(
+        "edit,past_end,message",
+        [
+            ("drop", 1, "no final row"),
+            ("repeat", 0, "row after the final row"),
+            ("append-epoch", 0, "row after the final row"),
+        ],
+    )
+    def test_final_row_must_close_the_file_once(
+        self, config_path, tmp_path, edit, past_end, message
+    ):
+        """The error names the line after the last row when the final row is
+        missing, else the first row after it."""
+        out = tmp_path / "final"
+        main(["run", "--config", config_path, "--set", "seeds=0", "--out", str(out)])
+        path = out / "results_0.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        final, last_epoch = lines[-1], lines[-2]
+        lines = {"drop": lines[:-1], "repeat": lines + [final],
+                 "append-epoch": lines + [last_epoch]}[edit]
+        path.write_text("".join(lines))
+        with pytest.raises(DataLoadError) as exc:
+            read_result_csv(str(path))
+        assert str(exc.value).startswith(f"{path} line {len(lines) + past_end}: {message}")
 
 
 class TestSweep:

@@ -118,10 +118,22 @@ class TestValidate:
             ("dataset.separation", "-inf"),
             ("training.learning_rate", "inf"),
             ("training.learning_rate", "nan"),
+            ("network.hidden", ""),
+            ("dataset.n", "19"),
+            ("dataset.classes", "1"),
+            ("active_learning.init_labelled_frac", "0"),
+            ("strategy.epsilon0", "1.5"),
+            ("strategy.epsilon.d", "0"),
         ],
     )
     def test_out_of_range_values_rejected(self, key, value):
         cfg = apply_setting(ExperimentConfig(), key, value)
+        with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
+            validate(cfg)
+
+    def test_fractions_not_summing_to_one_rejected(self):
+        cfg = apply_setting(ExperimentConfig(), "dataset.train_frac", "0.5")
+        key = "dataset.train_frac/val_frac/test_frac"
         with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
             validate(cfg)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,9 +251,31 @@ class TestRunExperiment:
         balanced = run_experiment(tiny_config("no-oracle", epochs=3), seed=18)
         assert balanced.stratified_split is True
 
-    def test_out_of_range_config_rejected_before_running(self):
-        cfg = tiny_config(oracle={"kind": "random-flip", "gamma": 1.5})
-        with pytest.raises(ConfigError, match="oracle.gamma"):
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"oracle": {"kind": "random-flip", "gamma": 1.5}}, "oracle.gamma"),
+            ({"network": {"dropout": 1.0}}, "network.dropout"),
+            ({"network": {"hidden": ()}}, "network.hidden"),
+            ({"dataset": {"classes": 1}}, "dataset.classes"),
+            ({"dataset": {"n": 19}}, "dataset.n"),
+            ({"dataset": {"kind": "ring-vs-blob", "classes": 3}}, "dataset.classes"),
+            ({"dataset": {"features": 0}}, "dataset.features"),
+            ({"dataset": {"test_frac": 0.0}}, "dataset.test_frac"),
+            ({"dataset": {"train_frac": 0.5}}, "dataset.train_frac/val_frac/test_frac"),
+            ({"active_learning": {"init_labelled_frac": 0.0}},
+             "active_learning.init_labelled_frac"),
+            ({"strategy": {"epsilon0": 1.5}}, "strategy.epsilon0"),
+            ({"strategy": {"epsilon_decay": 0.0}}, "strategy.epsilon.d"),
+            ({"strategy": {"hellinger_threshold": 1.5}}, "strategy.S"),
+            ({"active_learning": {"mc_passes": 0}}, "active_learning.T"),
+            ({"active_learning": {"b_frac": 1.5}}, "active_learning.b"),
+            ({"oracle": {"embed_dims": 0}}, "oracle.embed_dims"),
+        ],
+    )
+    def test_out_of_range_config_rejected_before_running(self, overrides, key):
+        cfg = tiny_config(**overrides)
+        with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
             run_experiment(cfg, seed=19)
 
 

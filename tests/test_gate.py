@@ -155,11 +155,6 @@ class TestDecideAsk:
         stats = fit_conditional_gaussians(np.array([0.5, 0.6]), np.array([0, 0]))
         assert decide_ask(0.5, stats, threshold=0.0) is True
 
-    def test_threshold_out_of_range_rejected(self):
-        stats = GateStats(0.2, 0.01, 0.8, 0.01, 0.5, 0.5, 0.5, True)
-        with pytest.raises(ValueError):
-            decide_ask(0.5, stats, threshold=1.5)
-
 
 def mc_bayes_error(stats: GateStats, n: int, rng) -> tuple[float, float]:
     """Monte-Carlo Bayes error of the prior-weighted two-Gaussian mixture."""

@@ -167,7 +167,3 @@ class TestPcaProject:
                 raw = np.linalg.norm(x[i] - x[j])
                 proj = np.linalg.norm(projected[i] - projected[j])
                 assert proj == pytest.approx(raw, rel=1e-9)
-
-    def test_bad_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            pca_project(np.zeros((5, 3)), 4)
