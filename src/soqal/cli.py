@@ -1,8 +1,7 @@
 """Command-line surface: run experiment grids, sweep one parameter, and
 condense result directories into plot-ready CSVs.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.  The
-environment variable ``SOQAL_SEED_BASE`` adds a fixed offset to every seed.
+Exit codes: 0 success, 1 configuration error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ from .results import (
 )
 
 
-def _seed_base() -> int:
-    raw = os.environ.get("SOQAL_SEED_BASE", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"SOQAL_SEED_BASE must be an integer, got {raw!r}") from None
-
-
 def _run_one(config: ExperimentConfig, seed: int, path: str) -> None:
     write_result_csv(run_experiment(config, seed), config, path)
 
@@ -68,20 +59,15 @@ def summarize(files: list[ResultFile]) -> dict[str, float]:
 
 
 def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
-    """Load the config, apply `--set` settings, offset the seeds by
-    SOQAL_SEED_BASE and apply `--out`; `_run_grids` validates the result."""
+    """Load the config and apply `--set` settings and `--out`; `_run_grids`
+    validates the result."""
     config = load_config(args.config)
     for setting in settings:
         if "=" not in setting:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         key, _, value = setting.partition("=")
         config = apply_setting(config, key.strip(), value.strip())
-    base = _seed_base()
-    return replace(
-        config,
-        seeds=tuple(s + base for s in config.seeds),
-        output_dir=args.out or config.output_dir,
-    )
+    return replace(config, output_dir=args.out or config.output_dir)
 
 
 def _run_grids(
@@ -89,10 +75,10 @@ def _run_grids(
     columns: list[str],
     jobs: int,
     summary_path: str,
-    config: ExperimentConfig,
 ) -> None:
     """Run every pending seed of each (leading cells, config, directory)
-    variant and write one summary row per variant.
+    variant and write one summary row per variant, under the provenance
+    lines that every variant shares.
 
     Before anything runs, every variant is validated and checked to differ
     from the others, and each existing `results_<seed>.csv` is parsed and
@@ -154,7 +140,9 @@ def _run_grids(
             n_seeds=str(len(group)), config_hash=digest, artifact_version=__version__
         )
         rows.append(lead + [cells[c] for c in columns[len(lead):]])
-    write_table(summary_path, columns, rows, provenance_comments(config))
+    headers = [provenance_comments(cfg) for _, cfg, _ in variants]
+    shared = [line for line in headers[0] if all(line in h for h in headers)]
+    write_table(summary_path, columns, rows, shared)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -169,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     columns = ["strategy", "n_seeds", "mean_test_auc", "std_test_auc",
                "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
     summary_path = os.path.join(out_root, "summary.csv")
-    _run_grids(variants, columns, args.jobs, summary_path, config)
+    _run_grids(variants, columns, args.jobs, summary_path)
     return 0
 
 
@@ -194,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = ["param", "value", "mean_test_auc", "mean_ask_rate", "n_seeds",
                "config_hash", "artifact_version"]
     summary_path = os.path.join(config.output_dir, "sweep_summary.csv")
-    _run_grids(variants, columns, args.jobs, summary_path, config)
+    _run_grids(variants, columns, args.jobs, summary_path)
     return 0
 
 
@@ -219,6 +207,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not paths:
         raise ConfigError(f"no result files under {args.in_dir}")
     files = [read_result_csv(p) for p in paths]
+    first: dict[tuple[str, int], str] = {}
+    for path, f in zip(paths, files):
+        seen = first.setdefault((f.config_hash, f.seed), path)
+        if seen != path:
+            raise ConfigError(
+                f"{seen} and {path} both hold seed {f.seed} under config_hash "
+                f"{f.config_hash}; remove one so the run counts once"
+            )
     out_dir = args.out or args.in_dir
     os.makedirs(out_dir, exist_ok=True)
 

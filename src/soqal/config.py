@@ -169,6 +169,7 @@ def load_config(path: str) -> ExperimentConfig:
 def validate(config: ExperimentConfig) -> None:
     """The library's only range check: reject out-of-range values, naming the key."""
     from .data import SYNTHETIC_KINDS
+    from .gate import CHERNOFF_MODES
     from .oracle import ORACLE_KINDS
     from .strategy import STRATEGY_NAMES
 
@@ -211,7 +212,7 @@ def validate(config: ExperimentConfig) -> None:
         (config.oracle.kind in ORACLE_KINDS, "oracle.kind"),
         (0.0 <= config.oracle.gamma <= 1.0, "oracle.gamma"),
         (config.oracle.embed_dims >= 1, "oracle.embed_dims"),
-        (config.chernoff_mode in ("full-bound", "exponent-only"), "gate.chernoff_mode"),
+        (config.chernoff_mode in CHERNOFF_MODES, "gate.chernoff_mode"),
         # One run and one result file per seed: none repeated, none negative.
         (len(seeds) >= 1 and len(set(seeds)) == len(seeds) and min(seeds) >= 0, "seeds"),
     ]

@@ -43,10 +43,6 @@ class Dataset:
             raise ValueError("need at least one instance per class")
 
     @property
-    def n_instances(self) -> int:
-        return len(self.labels)
-
-    @property
     def n_features(self) -> int:
         return self.features.shape[1]
 
@@ -60,11 +56,6 @@ class SplitIndices:
     test: np.ndarray
     init_labelled: np.ndarray  # subset of train
     stratified: bool  # False when a class was too small and we fell back
-
-
-def _balanced_labels(n: int, n_classes: int) -> np.ndarray:
-    # Round-robin assignment keeps class counts within one of each other.
-    return np.arange(n, dtype=np.int64) % n_classes
 
 
 def gen_synthetic(
@@ -86,7 +77,8 @@ def gen_synthetic(
         raise ValueError(f"unknown synthetic kind: {kind}")
 
     rng = np.random.default_rng(seed)
-    labels = _balanced_labels(n, n_classes)
+    # Round-robin assignment keeps class counts within one of each other.
+    labels = np.arange(n, dtype=np.int64) % n_classes
 
     if kind == "gaussian-blobs":
         # Scaled standard-basis centres: all pairs are class_separation apart.
@@ -197,7 +189,7 @@ def split(
     largest-remainder rounding of fractions * N.
     """
     rng = np.random.default_rng(seed)
-    n = dataset.n_instances
+    n = len(dataset.labels)
     targets = _largest_remainder(n, list(fractions))
 
     class_indices = [

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
-from .config import ExperimentConfig, config_hash, validate
+from .config import ExperimentConfig, validate
 from .data import Dataset, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError, UndefinedMetricError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
@@ -60,7 +60,6 @@ class AcquisitionRecord:
 @dataclass
 class ResultLog:
     seed: int
-    config_hash: str
     epochs: list[EpochRecord] = field(default_factory=list)
     acquisitions: list[AcquisitionRecord] = field(default_factory=list)
     test_auc: float = float("nan")
@@ -130,7 +129,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     unlabelled[parts.train] = True
     unlabelled[initial] = False
 
-    log = ResultLog(int(seed), config_hash(config), stratified_split=parts.stratified)
+    log = ResultLog(int(seed), stratified_split=parts.stratified)
 
     for epoch in range(1, config.training.epochs + 1):
         x_lab, y_lab = features[labelled], assigned[labelled]

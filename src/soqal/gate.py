@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 VAR_FLOOR = 1e-6  # fitted variances never drop below this
+CHERNOFF_MODES = ("full-bound", "exponent-only")
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def chernoff_bound(stats: GateStats, mode: str = "full-bound") -> ChernoffResult
     reported bound is always the full bound evaluated at b*.  While the fit
     is invalid both fields are nan.
     """
-    if mode not in ("full-bound", "exponent-only"):
+    if mode not in CHERNOFF_MODES:
         raise ValueError(f"unknown mode: {mode}")
     if not stats.valid:
         return ChernoffResult(bound=float("nan"), beta_star=float("nan"))

@@ -63,8 +63,9 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
         final_rate = ask_rate(log)
     except UndefinedMetricError:
         final_rate = float("nan")
+    digest = config_hash(config)
     rows = [
-        [str(log.seed), *_epoch_cells(rec), "", log.config_hash, __version__]
+        [str(log.seed), *_epoch_cells(rec), "", digest, __version__]
         for rec in log.epochs
     ]
     last = log.epochs[-1]
@@ -79,7 +80,7 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
             str(log.seed),
             *(final.get(f.name, "") for f in fields(EpochRecord)),
             format_float(log.test_auc),
-            log.config_hash,
+            digest,
             __version__,
         ]
     )
@@ -92,7 +93,6 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
 class ResultFile:
     """Parsed view of one results CSV."""
 
-    path: str
     seed: int
     config_hash: str
     artifact_version: str
@@ -146,7 +146,6 @@ def read_result_csv(path: str) -> ResultFile:
 
             if out is None:
                 out = ResultFile(
-                    path=path,
                     seed=number("seed", int),
                     config_hash=row["config_hash"],
                     artifact_version=row["artifact_version"],
@@ -157,6 +156,11 @@ def read_result_csv(path: str) -> ResultFile:
                 out.test_auc = number("test_auc")
                 out.final_ask_rate = number("cum_ask_rate")
             else:
+                want = len(out.epoch_rows) + 1
+                if row["epoch"] != str(want):
+                    raise DataLoadError(
+                        f"{path} line {lineno}: epoch '{row['epoch']}', expected {want}"
+                    )
                 out.epoch_rows.append({f.name: number(f.name) for f in fields(EpochRecord)})
     if out is None or header is None:
         raise DataLoadError(f"no result rows in {path}")

@@ -58,15 +58,22 @@ def read_table(path):
     return rows
 
 
+def comment_lines(path):
+    return [line for line in path.read_text().splitlines() if line.startswith("#")]
+
+
 def cut_result_row(path, cut):
     """Damage one data row of a result file in place: shorten the second
     epoch row to its first four cells or the final row by its last two
     cells, put a word in the second epoch row's val_auc or the first
-    row's seed, or delete the final row."""
+    row's seed, delete the final row or the third epoch row, or repeat the
+    second epoch row."""
     lines = path.read_text().splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
-    if cut == "no-final-row":
-        path.write_text("".join(lines[:rows[-1]]))
+    if cut in ("no-final-row", "epoch-gap", "epoch-repeat"):
+        i = {"no-final-row": rows[-1], "epoch-gap": rows[3], "epoch-repeat": rows[2]}[cut]
+        lines[i:i + 1] = [lines[i]] * 2 if cut == "epoch-repeat" else []
+        path.write_text("".join(lines))
         return
     i = rows[-1] if cut == "final-row" else rows[1] if cut == "non-numeric-seed" else rows[2]
     cells = lines[i].rstrip("\n").split(",")  # rows[0] is the header
@@ -82,7 +89,8 @@ def cut_result_row(path, cut):
     path.write_text("".join(lines))
 
 
-CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed", "no-final-row"]
+CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed", "no-final-row",
+        "epoch-gap", "epoch-repeat"]
 
 
 class TestRun:
@@ -120,6 +128,27 @@ class TestRun:
         assert (out / "no-oracle" / "results_0.csv").exists()
         assert float(rows[0]["mean_ask_rate"]) == 1.0
         assert float(rows[1]["mean_ask_rate"]) == 0.0
+
+    def test_one_strategy_summary_carries_that_variants_header(self, config_path, tmp_path):
+        out = tmp_path / "one"
+        argv = ["run", "--config", config_path, "--strategy", "full-oracle", "--out", str(out)]
+        assert main(argv) == 0
+        header = comment_lines(out / "results_0.csv")
+        assert header[-1].startswith("# stratified_split = ")  # per run, not per config
+        assert comment_lines(out / "summary.csv") == header[:-1]
+        assert "# cfg strategy.name = full-oracle" in header
+
+    def test_grid_summary_header_holds_only_the_shared_settings(self, config_path, tmp_path):
+        out = tmp_path / "two"
+        argv = ["run", "--config", config_path, "--strategy", "full-oracle",
+                "--strategy", "no-oracle", "--out", str(out)]
+        assert main(argv) == 0
+        summary = comment_lines(out / "summary.csv")
+        for name in ("full-oracle", "no-oracle"):
+            header = comment_lines(out / name / "results_0.csv")[:-1]
+            assert [line for line in header if line in summary] == summary
+            dropped = [line.partition(" = ")[0] for line in header if line not in summary]
+            assert dropped == ["# config_hash", "# cfg strategy.name"]
 
     def test_repeated_strategy_exits_one_before_writing(self, config_path, tmp_path, capsys):
         out = tmp_path / "twice"
@@ -272,14 +301,6 @@ class TestRun:
         assert f"invalid value for key: {key}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_seed_after_offset_exits_one_before_writing(
-        self, config_path, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("SOQAL_SEED_BASE", "-1")
-        out = tmp_path / "below"
-        assert main(["run", "--config", config_path, "--out", str(out)]) == 1
-        assert not out.exists()
-
     def test_set_overrides_an_invalid_file_value(self, tmp_path):
         path = tmp_path / "wide.cfg"
         path.write_text(TINY_CONFIG + "strategy.S = 1.5\nseeds = 0\n")
@@ -303,13 +324,6 @@ class TestRun:
         assert float(summary["mean_ask_rate"]) == pytest.approx(
             np.mean([f.final_ask_rate for f in files]), abs=1e-12
         )
-
-    def test_seed_base_offsets_all_seeds(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOQAL_SEED_BASE", "100")
-        out = tmp_path / "offset"
-        assert main(["run", "--config", config_path, "--out", str(out)]) == 0
-        assert (out / "results_100.csv").exists()
-        assert (out / "results_101.csv").exists()
 
     def test_parallel_jobs_match_sequential(self, config_path, tmp_path):
         for case, strategies in enumerate([[], ["full-oracle", "no-oracle"]]):
@@ -405,7 +419,7 @@ PINNED_PANELS = {
     "grid-nnflip": {
         "askrate.csv": "5034027077e9",
         "curves.csv": "c0d1b91786ef",
-        "summary.csv": "ddaac1e9aa22",
+        "summary.csv": "2fc31af62294",
         "soqal/results_0.csv": "9307cfc4a634",
         "soqal/results_1.csv": "df91e5bd577f",
         "entropy-response/results_0.csv": "1c6aee2276e9",
@@ -610,6 +624,17 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {target} line ")
+
+    def test_copied_result_file_exits_one_naming_both(self, config_path, tmp_path, capsys):
+        out = tmp_path / "copied"
+        assert main(["run", "--config", config_path, "--out", str(out / "a")]) == 0
+        (out / "b").mkdir()
+        original, copy = out / "a" / "results_0.csv", out / "b" / "results_0.csv"
+        copy.write_bytes(original.read_bytes())
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 1
+        assert f"error: {original} and {copy} both hold seed 0 " in capsys.readouterr().err
+        assert not (out / "curves.csv").exists() and not (out / "askrate.csv").exists()
 
     def test_empty_directory_exits_one(self, tmp_path):
         empty = tmp_path / "nothing"

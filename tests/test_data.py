@@ -16,7 +16,7 @@ from soqal.network import Network, train_epoch
 class TestGenSynthetic:
     def test_blob_sizes_and_balance(self):
         data = gen_synthetic("gaussian-blobs", 101, 3, 3, 2.0, seed=0)
-        assert data.n_instances == 101
+        assert len(data.labels) == 101
         counts = np.bincount(data.labels)
         assert counts.max() - counts.min() <= 1
 

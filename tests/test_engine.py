@@ -50,7 +50,7 @@ def logs_equal(a, b):
 
 
 def fabricated_log(n_oracle, n_self):
-    log = ResultLog(seed=0, config_hash="x")
+    log = ResultLog(seed=0)
     for i in range(n_oracle + n_self):
         log.acquisitions.append(
             AcquisitionRecord(
@@ -75,7 +75,7 @@ class TestAskRate:
 
     def test_zero_acquisitions_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            ask_rate(ResultLog(seed=0, config_hash="x"))
+            ask_rate(ResultLog(seed=0))
 
 
 class TestRunExperiment:

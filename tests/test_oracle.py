@@ -30,7 +30,7 @@ def labelled_dataset(n_classes):
 
 
 def make_oracle(config, dataset):
-    return Oracle(config, dataset, np.arange(dataset.n_instances))
+    return Oracle(config, dataset, np.arange(len(dataset.labels)))
 
 
 class TestLabel:
@@ -100,13 +100,13 @@ class TestNeighborTable:
 
     def test_full_rank_projection_matches_raw_space_search(self):
         data = gen_synthetic("gaussian-blobs", 60, 2, 3, class_separation=1.0, seed=5)
-        table = build_neighbor_table(data, 3, np.arange(data.n_instances))
+        table = build_neighbor_table(data, 3, np.arange(len(data.labels)))
         raw = brute_force_neighbors(data.features - data.features.mean(axis=0), data.labels)
         np.testing.assert_array_equal(neighbor_ids(table), raw)
 
     def test_matches_brute_force_in_projected_space(self):
         data = gen_synthetic("gaussian-blobs", 40, 2, 5, class_separation=1.5, seed=6)
-        table = build_neighbor_table(data, 2, np.arange(data.n_instances))
+        table = build_neighbor_table(data, 2, np.arange(len(data.labels)))
         projected = pca_project(data.features, 2)
         np.testing.assert_array_equal(
             neighbor_ids(table), brute_force_neighbors(projected, data.labels)
@@ -114,7 +114,7 @@ class TestNeighborTable:
 
     def test_neighbor_class_always_differs(self):
         data = gen_synthetic("gaussian-blobs", 90, 3, 4, class_separation=0.5, seed=7)
-        table = build_neighbor_table(data, 2, np.arange(data.n_instances))
+        table = build_neighbor_table(data, 2, np.arange(len(data.labels)))
         for instance_id in table.ids:
             row = table.neighbor_row(instance_id)
             assert table.ids[row] != instance_id
@@ -122,8 +122,8 @@ class TestNeighborTable:
 
     def test_deterministic_given_inputs(self):
         data = gen_synthetic("gaussian-blobs", 50, 2, 4, class_separation=1.0, seed=8)
-        a = build_neighbor_table(data, 2, np.arange(data.n_instances))
-        b = build_neighbor_table(data, 2, np.arange(data.n_instances))
+        a = build_neighbor_table(data, 2, np.arange(len(data.labels)))
+        b = build_neighbor_table(data, 2, np.arange(len(data.labels)))
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_array_equal(neighbor_ids(a), neighbor_ids(b))
 
@@ -149,7 +149,7 @@ class TestNeighborTable:
             n_classes=1,
         )
         with pytest.raises(ConfigError):
-            build_neighbor_table(data, 2, np.arange(data.n_instances))
+            build_neighbor_table(data, 2, np.arange(len(data.labels)))
 
 
 class TestPcaProject:

@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.stats import norm, rankdata
 
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
-from soqal.config import ACQUISITION_NAMES, ExperimentConfig
+from soqal.config import ACQUISITION_NAMES, ExperimentConfig, config_hash
 from soqal.data import SYNTHETIC_KINDS, _largest_remainder, split
 from soqal.engine import (
     AcquisitionRecord,
@@ -265,7 +265,7 @@ def same_float(a: float, b: float) -> bool:
 
 epoch_records = st.builds(
     EpochRecord,
-    epoch=counts,
+    epoch=st.just(0),  # numbered 1, 2, ... by `result_logs`
     train_loss=any_float,
     gate_loss=any_float,
     val_auc=any_float,
@@ -288,8 +288,10 @@ acquisition_records = st.builds(
 result_logs = st.builds(
     ResultLog,
     seed=st.integers(0, 2**32),
-    config_hash=st.text("0123456789abcdef", min_size=1, max_size=16),
-    epochs=st.lists(epoch_records, min_size=1, max_size=6),
+    # A result file's epoch rows run 1, 2, ... without a gap or repeat.
+    epochs=st.lists(epoch_records, min_size=1, max_size=6).map(
+        lambda recs: [replace(rec, epoch=i) for i, rec in enumerate(recs, start=1)]
+    ),
     acquisitions=st.lists(acquisition_records, max_size=6),
     test_auc=any_float,
     stratified_split=st.booleans(),
@@ -307,7 +309,7 @@ def test_result_csv_round_trips_every_field_and_rewrites_the_same_bytes(log):
         assert first.read_bytes() == second.read_bytes()
         parsed = read_result_csv(str(first))
 
-    assert (parsed.seed, parsed.config_hash) == (log.seed, log.config_hash)
+    assert (parsed.seed, parsed.config_hash) == (log.seed, config_hash(config))
     assert len(parsed.epoch_rows) == len(log.epochs)
     for row, rec in zip(parsed.epoch_rows, log.epochs):
         for f in fields(EpochRecord):
