@@ -19,6 +19,7 @@ from .config import (
     SWEEPABLE,
     ExperimentConfig,
     apply_setting,
+    canonical_lines,
     config_hash,
     load_config,
     validate,
@@ -81,8 +82,9 @@ def _run_grids(
     lines that every variant shares.
 
     Before anything runs, every variant is validated and checked to differ
-    from the others, and each existing `results_<seed>.csv` is parsed and
-    checked to hold that variant's config hash, artifact version and seed.
+    from the others, and each existing `results_<seed>.csv` is read (which
+    checks its bytes) and checked to hold that variant's config hash and
+    seed; a differing hash names the keys that differ.
     Missing files are run, all in one process pool when `jobs` > 1;
     completed files are never overwritten, so an interrupted grid resumes
     where it stopped.  The leading cells fill the first columns; the rest
@@ -110,13 +112,14 @@ def _run_grids(
                 pending.append((cfg, seed, path))
                 continue
             found = files[path] = read_result_csv(path)
-            if (found.config_hash, found.artifact_version, found.seed) != (
-                digest, __version__, seed
-            ):
+            if (found.config_hash, found.seed) != (digest, seed):
+                old, new = (dict(line.split(" = ", 1) for line in canonical_lines(c))
+                            for c in (found.config, cfg))
+                keys = "".join(f"; {k}: {old[k]} in the file, {new[k]} in this run"
+                               for k in old if old[k] != new[k])
                 raise ConfigError(
                     f"{path} holds seed {found.seed} under config_hash "
-                    f"{found.config_hash} (v{found.artifact_version}), not seed "
-                    f"{seed} under {digest} (v{__version__}); "
+                    f"{found.config_hash}, not seed {seed} under {digest}{keys}; "
                     "move it away or choose another --out"
                 )
     for out_dir in dirs.values():
@@ -195,11 +198,9 @@ def _find_result_files(root: str) -> list[str]:
     return sorted(found)
 
 
-def _noise_tag(cfg: dict[str, str]) -> str:
-    kind = cfg.get("oracle.kind", "noise-free")
-    if kind == "noise-free":
-        return "noise-free"
-    return f"{kind}@{cfg.get('oracle.gamma', '?')}"
+def _noise_tag(config: ExperimentConfig) -> str:
+    kind, gamma = config.oracle.kind, config.oracle.gamma
+    return kind if kind == "noise-free" else f"{kind}@{gamma!r}"  # as `# cfg` spells gamma
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -220,7 +221,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     by_strategy: dict[str, list[ResultFile]] = {}
     for f in files:
-        by_strategy.setdefault(f.cfg.get("strategy.name", "?"), []).append(f)
+        by_strategy.setdefault(f.config.strategy.name, []).append(f)
 
     def group_hash(group_files: list[ResultFile]) -> str:
         hashes = {f.config_hash for f in group_files}
@@ -229,15 +230,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     curve_rows = []
     for strategy in sorted(by_strategy):
         group = by_strategy[strategy]
+        digest = group_hash(group)
         per_epoch: dict[int, list[float]] = {}
         for f in group:
             for row in f.epoch_rows:
-                per_epoch.setdefault(int(row["epoch"]), []).append(row["val_auc"])
+                per_epoch.setdefault(row["epoch"], []).append(row["val_auc"])
         for epoch in sorted(per_epoch):
             mean, std = _mean_std(per_epoch[epoch])
             curve_rows.append(
-                [str(epoch), strategy, format_float(mean), format_float(std),
-                 group_hash(group), __version__]
+                [str(epoch), strategy, format_float(mean), format_float(std), digest,
+                 __version__]
             )
     write_table(
         os.path.join(out_dir, "curves.csv"),
@@ -250,7 +252,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     rate_rows = []
     by_group: dict[tuple[str, str], list[ResultFile]] = {}
     for f in files:
-        group = (f.cfg.get("strategy.name", "?"), _noise_tag(f.cfg))
+        group = (f.config.strategy.name, _noise_tag(f.config))
         by_group.setdefault(group, []).append(f)
     for (strategy, noise) in sorted(by_group):
         group = by_group[(strategy, noise)]

@@ -157,7 +157,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        config = apply_setting(config, key.strip(), raw.strip())
+        try:
+            config = apply_setting(config, key.strip(), raw.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return config
 
 

@@ -245,7 +245,6 @@ def loss_terms(
 class EpochStats:
     mean_class_loss: float
     mean_gate_loss: float
-    train_accuracy: float
 
 
 def train_epoch(
@@ -274,7 +273,6 @@ def train_epoch(
     order = rng.permutation(n)
     total_class = 0.0
     total_gate = 0.0
-    total_correct = 0
     params = net.parameters()
     for start in range(0, n, batch_size):
         batch_idx = order[start : start + batch_size]
@@ -290,9 +288,7 @@ def train_epoch(
             param -= scale * grad
         total_class += class_term
         total_gate += gate_term
-        total_correct += int((errors == 0.0).sum())
     return EpochStats(
         mean_class_loss=total_class / n,
         mean_gate_loss=total_gate / n,
-        train_accuracy=total_correct / n,
     )

@@ -9,18 +9,21 @@ the config hash, and the full resolved configuration, then a fixed header::
 
 Per-epoch rows leave ``test_auc`` empty; one final row (``epoch = final``)
 carries the test AUC and the run's final ask-rate.  Floats are written with
-``repr`` so identical runs produce identical bytes.
+``repr`` so identical runs produce identical bytes.  The writer is the one
+definition of the format: the reader re-renders what it parsed and accepts
+only the same text.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 from . import __version__
-from .config import ExperimentConfig, canonical_lines, config_hash
+from .config import ExperimentConfig, canonical_lines, config_hash, parse_config_text
 from .engine import EpochRecord, ResultLog, ask_rate
-from .errors import DataLoadError, UndefinedMetricError
+from .errors import ConfigError, DataLoadError, UndefinedMetricError
 
 RESULT_COLUMNS = [
     "seed",
@@ -35,16 +38,12 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_float(cell: str) -> float:
-    return float("nan") if cell == "" else float(cell)
-
-
 def _epoch_cells(rec: EpochRecord) -> list[str]:
     """One cell per EpochRecord field: ints with str, floats with format_float."""
     cells = []
     for f in fields(rec):
         value = getattr(rec, f.name)
-        cells.append(str(value) if f.type in (int, "int") else format_float(value))
+        cells.append(str(value) if f.type == "int" else format_float(value))
     return cells
 
 
@@ -57,35 +56,36 @@ def provenance_comments(config: ExperimentConfig) -> list[str]:
     return lines
 
 
+def _result_table(
+    config: ExperimentConfig, seed: int, epochs: list[EpochRecord],
+    test_auc: float, final_rate: float, stratified: bool,
+) -> tuple[list[str], list[list[str]]]:
+    """The comment lines and rows of a result file: the format's one definition."""
+    digest = config_hash(config)
+    rows = [[str(seed), *_epoch_cells(rec), "", digest, __version__] for rec in epochs]
+    if epochs:  # the reader also re-renders a file in which it found none
+        final = {
+            "epoch": "final",
+            "cum_ask_rate": format_float(final_rate),
+            "n_labelled": str(epochs[-1].n_labelled),
+            "n_unlabelled": str(epochs[-1].n_unlabelled),
+        }
+        cells = (final.get(f.name, "") for f in fields(EpochRecord))
+        rows.append([str(seed), *cells, format_float(test_auc), digest, __version__])
+    comments = provenance_comments(config)
+    comments.append(f"# stratified_split = {str(stratified).lower()}")
+    return comments, rows
+
+
 def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> None:
     """Write one run's log as a provenance-commented result table."""
     try:
         final_rate = ask_rate(log)
     except UndefinedMetricError:
         final_rate = float("nan")
-    digest = config_hash(config)
-    rows = [
-        [str(log.seed), *_epoch_cells(rec), "", digest, __version__]
-        for rec in log.epochs
-    ]
-    last = log.epochs[-1]
-    final = {
-        "epoch": "final",
-        "cum_ask_rate": format_float(final_rate),
-        "n_labelled": str(last.n_labelled),
-        "n_unlabelled": str(last.n_unlabelled),
-    }
-    rows.append(
-        [
-            str(log.seed),
-            *(final.get(f.name, "") for f in fields(EpochRecord)),
-            format_float(log.test_auc),
-            digest,
-            __version__,
-        ]
+    comments, rows = _result_table(
+        config, log.seed, log.epochs, log.test_auc, final_rate, log.stratified_split
     )
-    comments = provenance_comments(config)
-    comments.append(f"# stratified_split = {str(log.stratified_split).lower()}")
     write_table(path, RESULT_COLUMNS, rows, comments)
 
 
@@ -94,79 +94,69 @@ class ResultFile:
     """Parsed view of one results CSV."""
 
     seed: int
-    config_hash: str
-    artifact_version: str
-    cfg: dict[str, str]  # dotted key -> raw value, from provenance comments
-    epoch_rows: list[dict[str, float]] = field(default_factory=list)
-    test_auc: float = float("nan")
-    final_ask_rate: float = float("nan")
+    config: ExperimentConfig  # rebuilt from the `# cfg` lines
+    epoch_rows: list[dict[str, float]]  # keyed by EpochRecord field
+    test_auc: float
+    final_ask_rate: float
+
+    @property
+    def config_hash(self) -> str:
+        return config_hash(self.config)
 
 
 def read_result_csv(path: str) -> ResultFile:
-    cfg: dict[str, str] = {}
-    header: list[str] | None = None
-    out: ResultFile | None = None
-    last_line = final_line = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("cfg ") and "=" in body:
-                    key, _, value = body[4:].partition("=")
-                    cfg[key.strip()] = value.strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-                if header != RESULT_COLUMNS:
-                    raise DataLoadError(f"unexpected result header in {path}")
-                continue
-            if final_line:
-                raise DataLoadError(
-                    f"{path} line {lineno}: row after the final row (line {final_line})"
-                )
-            last_line = lineno
-            if len(cells) != len(header):
-                raise DataLoadError(
-                    f"{path} line {lineno}: {len(cells)} cells, "
-                    f"expected {len(header)}"
-                )
-            row = dict(zip(header, cells))
+    """Parse a result file, re-render it from the parsed values and require
+    the same text, so a file is accepted only if this version writes it.
 
-            def number(name: str, parse=_parse_float):
-                try:
-                    return parse(row[name])
-                except ValueError:
-                    raise DataLoadError(
-                        f"{path} line {lineno}: column {name}: not a number: {row[name]!r}"
-                    ) from None
+    Parsing stops at the final row, so a row after it re-renders differently.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:  # no newline translation
+        lines = fh.read().splitlines(keepends=True)
+    header = ",".join(RESULT_COLUMNS)
+    at = next((i for i, line in enumerate(lines) if line.rstrip("\r\n") == header), len(lines))
+    try:  # the other lines blanked, so an error names the file's line number
+        config = parse_config_text(
+            "".join(line[6:] if line.startswith("# cfg ") else "\n" for line in lines[:at])
+        )
+    except ConfigError as exc:
+        raise DataLoadError(f"{path} {exc}") from None
+    seed, epoch_rows, test_auc, final_rate = 0, [], float("nan"), float("nan")
+    for n, line in enumerate(lines[at + 1 :], start=at + 2):
+        cells = line.rstrip("\r\n").split(",")
+        if len(cells) != len(RESULT_COLUMNS):
+            raise DataLoadError(
+                f"{path} line {n}: {len(cells)} cells, expected {len(RESULT_COLUMNS)}"
+            )
+        row = dict(zip(RESULT_COLUMNS, cells))
 
-            if out is None:
-                out = ResultFile(
-                    seed=number("seed", int),
-                    config_hash=row["config_hash"],
-                    artifact_version=row["artifact_version"],
-                    cfg=cfg,
-                )
-            if row["epoch"] == "final":
-                final_line = lineno
-                out.test_auc = number("test_auc")
-                out.final_ask_rate = number("cum_ask_rate")
-            else:
-                want = len(out.epoch_rows) + 1
-                if row["epoch"] != str(want):
-                    raise DataLoadError(
-                        f"{path} line {lineno}: epoch '{row['epoch']}', expected {want}"
-                    )
-                out.epoch_rows.append({f.name: number(f.name) for f in fields(EpochRecord)})
-    if out is None or header is None:
-        raise DataLoadError(f"no result rows in {path}")
-    if not final_line:
-        raise DataLoadError(f"{path} line {last_line + 1}: no final row")
-    return out
+        def number(name: str, parse=float):
+            try:
+                return parse(row[name])
+            except ValueError:
+                raise DataLoadError(
+                    f"{path} line {n}: column {name}: not a number: {row[name]!r}"
+                ) from None
+
+        if n == at + 2:
+            seed = number("seed", int)
+        if row["epoch"] == "final":
+            test_auc, final_rate = number("test_auc"), number("cum_ask_rate")
+            break
+        epoch_rows.append({f.name: number(f.name, int if f.type == "int" else float)
+                           for f in fields(EpochRecord)})
+        epoch_rows[-1]["epoch"] = len(epoch_rows)  # by position: a gap or repeat re-renders
+    stratified = "# stratified_split = false\n" not in lines[:at]
+    records = [EpochRecord(**row) for row in epoch_rows]
+    comments, rows = _result_table(config, seed, records, test_auc, final_rate, stratified)
+    pairs = zip_longest(_table_text(RESULT_COLUMNS, rows, comments).splitlines(True), lines)
+    for n, pair in enumerate(pairs, start=1):
+        if pair[0] != pair[1]:
+            expected, found = ("end of file" if s is None else repr(s) for s in pair)
+            raise DataLoadError(f"{path} line {n}: expected {expected}, found {found}")
+    if not epoch_rows:
+        n = len(lines) + 1
+        raise DataLoadError(f"{path} line {n}: expected an epoch row, found end of file")
+    return ResultFile(seed, config, epoch_rows, test_auc, final_rate)
 
 
 def write_table(
@@ -174,10 +164,12 @@ def write_table(
 ) -> None:
     """Write comment lines, a header and rows; atomic rename so partial
     writes never land."""
-    lines = list(comments)
-    lines.append(",".join(columns))
-    lines.extend(",".join(row) for row in rows)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_table_text(columns, rows, comments))
     os.replace(tmp, path)
+
+
+def _table_text(columns: list[str], rows: list[list[str]], comments: list[str]) -> str:
+    lines = [*comments, ",".join(columns), *(",".join(row) for row in rows)]
+    return "\n".join(lines) + "\n"

@@ -63,34 +63,43 @@ def comment_lines(path):
 
 
 def cut_result_row(path, cut):
-    """Damage one data row of a result file in place: shorten the second
-    epoch row to its first four cells or the final row by its last two
-    cells, put a word in the second epoch row's val_auc or the first
-    row's seed, delete the final row or the third epoch row, or repeat the
-    second epoch row."""
+    """Damage a result file in place, one way per name in CUTS: shorten the
+    second epoch row to its first four cells or the final row by its last
+    two cells; set one cell (a word in the second epoch row's val_auc or the
+    first row's seed, or another seed, config_hash or artifact_version in
+    the second epoch row); delete the final row or the third epoch row;
+    repeat the second epoch row; or give the `# cfg strategy.S`,
+    `# config_hash` or version comment another value."""
     lines = path.read_text().splitlines(keepends=True)
-    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    rows = [i for i, line in enumerate(lines) if not line.startswith("#")]  # rows[0]: header
+    cells = {"non-numeric-cell": (2, 4, "abc"), "non-numeric-seed": (1, 0, "x"),
+             "later-seed": (2, 0, "7"), "later-hash": (2, -2, "deadbeef0000"),
+             "later-version": (2, -1, "0.0.9")}
+    comments = {"cfg-line": ("# cfg strategy.S = ", "0.2"),
+                "hash-comment": ("# config_hash = ", "deadbeef0000"),
+                "version-line": ("# soqal-results v", "0.0.9")}
     if cut in ("no-final-row", "epoch-gap", "epoch-repeat"):
         i = {"no-final-row": rows[-1], "epoch-gap": rows[3], "epoch-repeat": rows[2]}[cut]
         lines[i:i + 1] = [lines[i]] * 2 if cut == "epoch-repeat" else []
-        path.write_text("".join(lines))
-        return
-    i = rows[-1] if cut == "final-row" else rows[1] if cut == "non-numeric-seed" else rows[2]
-    cells = lines[i].rstrip("\n").split(",")  # rows[0] is the header
-    if cut == "epoch-row":
-        cells = cells[:4]
-    elif cut == "final-row":
-        cells = cells[:-2]
-    elif cut == "non-numeric-cell":
-        cells[4] = "abc"
+    elif cut in comments:
+        prefix, value = comments[cut]
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        assert lines[i] != prefix + value + "\n"
+        lines[i] = prefix + value + "\n"
     else:
-        cells[0] = "x"
-    lines[i] = ",".join(cells) + "\n"
+        i = rows[-1] if cut == "final-row" else rows[cells[cut][0]] if cut in cells else rows[2]
+        row = lines[i].rstrip("\n").split(",")
+        if cut in cells:
+            row[cells[cut][1]] = cells[cut][2]
+        else:
+            row = row[:4] if cut == "epoch-row" else row[:-2]
+        lines[i] = ",".join(row) + "\n"
     path.write_text("".join(lines))
 
 
 CUTS = ["epoch-row", "final-row", "non-numeric-cell", "non-numeric-seed", "no-final-row",
-        "epoch-gap", "epoch-repeat"]
+        "epoch-gap", "epoch-repeat", "later-seed", "later-hash", "later-version",
+        "cfg-line", "hash-comment", "version-line"]
 
 
 class TestRun:
@@ -185,12 +194,15 @@ class TestRun:
 
     def test_completed_files_never_overwritten(self, config_path, tmp_path):
         out = tmp_path / "resume"
-        main(["run", "--config", config_path, "--out", str(out)])
+        argv = ["run", "--config", config_path, "--out", str(out)]
+        assert main(argv) == 0
         target = out / "results_0.csv"
-        marked = target.read_text() + "# sentinel\n"
-        target.write_text(marked)
-        main(["run", "--config", config_path, "--out", str(out)])
-        assert target.read_text() == marked
+        (out / "results_1.csv").unlink()  # so the resume runs one seed
+        before = target.stat()
+        assert main(argv) == 0
+        after = target.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert (out / "results_1.csv").exists()
 
     def test_stale_results_stop_the_run(self, tmp_path, capsys):
         out = tmp_path / "stale"
@@ -206,6 +218,8 @@ class TestRun:
         assert "results_0.csv" in err
         hashes = set(re.findall(r"\b[0-9a-f]{12}\b", err))
         assert old_hash in hashes and len(hashes) == 2
+        assert "; strategy.S: 0.15 in the file, 0.9 in this run" in err
+        assert "; training.epochs: 6 in the file, 3 in this run;" in err
         assert (out / "summary.csv").read_bytes() == summary
 
     def test_stale_variant_stops_the_grid_before_any_run(self, config_path, tmp_path):
@@ -308,7 +322,7 @@ class TestRun:
         code = main(["run", "--config", str(path), "--set", "strategy.S=0.2",
                      "--out", str(out)])
         assert code == 0
-        assert read_result_csv(str(out / "results_0.csv")).cfg["strategy.S"] == "0.2"
+        assert read_result_csv(str(out / "results_0.csv")).config.strategy.hellinger_threshold == 0.2
 
     def test_summary_matches_recomputation_from_seed_files(self, config_path, tmp_path):
         out = tmp_path / "sum"
@@ -491,8 +505,8 @@ class TestResultFileSchema:
         assert parsed.seed == 0
         assert len(parsed.epoch_rows) == 6
         assert np.isfinite(parsed.test_auc)
-        assert parsed.cfg["strategy.name"] == "soqal"
-        assert parsed.cfg["training.epochs"] == "6"
+        assert parsed.config.strategy.name == "soqal"
+        assert parsed.config.training.epochs == 6
         rows = read_table(out / "results_0.csv")
         assert all(r["config_hash"] == parsed.config_hash for r in rows)
         assert all(r["artifact_version"] for r in rows)
@@ -501,10 +515,12 @@ class TestResultFileSchema:
     @pytest.mark.parametrize(
         "edit,past_end,message",
         [
-            ("drop", 1, "no final row"),
-            ("repeat", 0, "row after the final row"),
-            ("append-epoch", 0, "row after the final row"),
+            ("drop", 1, "expected '0,final,"),
+            ("repeat", 0, "expected end of file, found '0,final,"),
+            ("append-epoch", 0, "expected end of file, found '0,6,"),
         ],
+        ids=["drop-1-no final row", "repeat-0-row after the final row",
+             "append-epoch-0-row after the final row"],
     )
     def test_final_row_must_close_the_file_once(
         self, config_path, tmp_path, edit, past_end, message

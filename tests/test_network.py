@@ -378,10 +378,10 @@ class TestTrainEpoch:
         data = gen_synthetic("gaussian-blobs", 200, 2, 2, class_separation=6.0, seed=4)
         net = Network.initialize(2, 2, [16], dropout_rate=0.1, seed=4)
         rng = np.random.default_rng(4)
-        stats = None
         for _ in range(200):
-            stats = train_epoch(net, data.features, data.labels, 1e-2, 32, rng)
-        assert stats.train_accuracy >= 0.95
+            train_epoch(net, data.features, data.labels, 1e-2, 32, rng)
+        probs, _, _ = net.forward_batch(data.features)  # deterministic forward
+        assert (probs.argmax(axis=1) == data.labels).mean() >= 0.95
 
     def test_empty_pool_raises(self):
         net = tiny_net()

@@ -8,7 +8,8 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
@@ -25,6 +26,7 @@ from soqal.engine import (
     ask_rate,
     run_experiment,
 )
+from soqal.errors import DataLoadError
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.metrics import _midranks, auc_binary
 from soqal.oracle import ORACLE_KINDS, NeighborTable
@@ -317,3 +319,25 @@ def test_result_csv_round_trips_every_field_and_rewrites_the_same_bytes(log):
     assert same_float(parsed.test_auc, log.test_auc)
     rate = ask_rate(log) if log.acquisitions else math.nan
     assert same_float(parsed.final_ask_rate, rate)
+
+
+@PROPERTY
+@given(result_logs, st.data())
+def test_result_csv_with_any_one_line_replaced_is_rejected_naming_a_line(log, data):
+    """The reader accepts only the bytes the writer writes for the values it
+    parsed.  A replacement holds no ASCII digit, so it is never another
+    valid row (every row starts with its seed); the one other valid comment
+    is the opposite `stratified_split` flag."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "results_0.csv")
+        write_result_csv(log, ExperimentConfig(), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line index")
+        text = st.text(st.characters(codec="utf-8", exclude_characters="\n0123456789"))
+        new = data.draw(text.filter(lambda s: s + "\n" != lines[i]), label="replacement")
+        assume(new not in ("# stratified_split = true", "# stratified_split = false"))
+        lines[i] = new + "\n"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with pytest.raises(DataLoadError) as exc:
+            read_result_csv(str(path))
+    assert str(exc.value).startswith(f"{path} line ")
