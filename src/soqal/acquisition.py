@@ -104,10 +104,12 @@ def mc_posteriors(
     rows `ids` of features (N, m).
 
     Instance i draws its masks from one numpy PCG64 stream seeded by
-    SeedSequence([seed, epoch, i]), so its rows do not depend on which
-    instances share its forward call.  The seeding of every stream is
-    computed at once (`stream_keys`); one generator is re-pointed at each
-    instance and fills its row of the block's uniforms.
+    SeedSequence([seed, epoch, i]), so its masks do not depend on which
+    instances share its forward call.  Its rows may, by a few ulps: a BLAS
+    product can round a row differently with the call's row count, so the
+    bytes are reproducible for the fixed MC_BLOCK_ROWS.  The seeding of
+    every stream is computed at once (`stream_keys`); one generator is
+    re-pointed at each instance and fills its row of the block's uniforms.
     """
     ids = np.asarray(ids)
     if ids.size and not (0 <= ids.min() and ids.max() < MAX_ID):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +125,7 @@ def _run_grids(
         os.makedirs(out_dir, exist_ok=True)
     workers = min(jobs, len(pending))  # fork starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_one, *run) for run in pending]
             for future in futures:
@@ -143,7 +143,7 @@ def _run_grids(
             n_seeds=str(len(group)), config_hash=digest, artifact_version=__version__
         )
         rows.append(lead + [cells[c] for c in columns[len(lead):]])
-    headers = [provenance_comments(cfg) for _, cfg, _ in variants]
+    headers = [provenance_comments(cfg)[1] for _, cfg, _ in variants]
     shared = [line for line in headers[0] if all(line in h for h in headers)]
     write_table(summary_path, columns, rows, shared)
 

@@ -166,7 +166,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            return parse_config_text(fh.read())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def validate(config: ExperimentConfig) -> None:
@@ -255,5 +258,9 @@ def canonical_lines(config: ExperimentConfig) -> list[str]:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    digest = hashlib.sha256("\n".join(canonical_lines(config)).encode("utf-8"))
-    return digest.hexdigest()[:12]
+    return lines_hash(canonical_lines(config))
+
+
+def lines_hash(lines: list[str]) -> str:
+    """The config hash of a config's rendered `canonical_lines`."""
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]

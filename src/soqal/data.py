@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataLoadError
+from .metrics import sorted_unique
 
 SYNTHETIC_KINDS = ("gaussian-blobs", "ring-vs-blob", "noisy-sine-classes")
 
@@ -200,23 +201,15 @@ def split(
     buckets: list[list[int]] = [[], [], []]
     if stratified:
         for idx in class_indices:
-            shuffled = rng.permutation(idx)
-            counts = _largest_remainder(len(idx), list(fractions))
-            start = 0
-            for s, count in enumerate(counts):
-                buckets[s].extend(shuffled[start : start + count].tolist())
-                start += count
+            counts = np.cumsum(_largest_remainder(len(idx), list(fractions)))
+            for bucket, part in zip(buckets, np.split(rng.permutation(idx), counts[:-1])):
+                bucket.extend(part.tolist())
         _rebalance(buckets, targets, dataset.labels)
     else:
-        shuffled = rng.permutation(n)
-        start = 0
-        for s, count in enumerate(targets):
-            buckets[s].extend(shuffled[start : start + count].tolist())
-            start += count
+        for bucket, part in zip(buckets, np.split(rng.permutation(n), np.cumsum(targets)[:-1])):
+            bucket.extend(part.tolist())
 
-    train = np.sort(np.asarray(buckets[0], dtype=np.int64))
-    val = np.sort(np.asarray(buckets[1], dtype=np.int64))
-    test = np.sort(np.asarray(buckets[2], dtype=np.int64))
+    train, val, test = (np.sort(np.asarray(b, dtype=np.int64)) for b in buckets)
 
     init_labelled = _stratified_take(
         train, dataset.labels, init_labelled_frac, rng, stratified
@@ -260,7 +253,7 @@ def _stratified_take(
         return np.sort(rng.permutation(pool)[:want])
     chosen: list[int] = []
     pool_labels = labels[pool]
-    present = np.unique(pool_labels)
+    present = sorted_unique(pool_labels)
     counts = _largest_remainder(want, [float((pool_labels == c).mean()) for c in present])
     for c, count in zip(present, counts):
         members = pool[pool_labels == c]

@@ -7,6 +7,12 @@ import numpy as np
 from .errors import UndefinedMetricError
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """`np.unique(values)` for NaN-free values, without its numpy.ma import."""
+    ordered = np.sort(values, axis=None)
+    return ordered[np.r_[True, ordered[1:] != ordered[:-1]][: ordered.size]]
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties receiving the mean of their positions."""
     order = np.argsort(values, kind="mergesort")
@@ -42,7 +48,7 @@ def auc_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if scores.ndim != 2 or len(scores) != len(labels):
         raise ValueError("scores must be (N, C) aligned with labels")
-    present = np.unique(labels)
+    present = sorted_unique(labels)
     if len(present) < 2:
         raise UndefinedMetricError("one-vs-rest AUC needs >= 2 classes present")
     per_class = [auc_binary(scores[:, int(c)], labels == c) for c in present]

@@ -110,15 +110,11 @@ class Network:
         """One keep/drop mask per trunk layer; all-ones when dropout is off."""
         masks = []
         for layer in self.trunk:
-            width = layer.weight.shape[0]
+            shape = (batch_size, layer.weight.shape[0])
             if self.dropout_rate == 0.0:
-                masks.append(np.ones((batch_size, width)))
+                masks.append(np.ones(shape))
             else:
-                masks.append(
-                    (rng.random((batch_size, width)) >= self.dropout_rate).astype(
-                        np.float64
-                    )
-                )
+                masks.append((rng.random(shape) >= self.dropout_rate).astype(np.float64))
         return masks
 
     def forward_batch(
@@ -288,7 +284,4 @@ def train_epoch(
             param -= scale * grad
         total_class += class_term
         total_gate += gate_term
-    return EpochStats(
-        mean_class_loss=total_class / n,
-        mean_gate_loss=total_gate / n,
-    )
+    return EpochStats(mean_class_loss=total_class / n, mean_gate_loss=total_gate / n)

@@ -14,6 +14,7 @@ import numpy as np
 from .config import OracleSection
 from .data import Dataset
 from .errors import ConfigError
+from .metrics import sorted_unique
 
 ORACLE_KINDS = ("noise-free", "random-flip", "nn-flip")
 
@@ -59,7 +60,7 @@ def build_neighbor_table(
     principal components; each row keeps its dataset index as its id."""
     ids = np.asarray(instance_ids, dtype=np.int64)
     labels = dataset.labels[ids]
-    if len(np.unique(labels)) < 2:
+    if len(sorted_unique(labels)) < 2:
         raise ConfigError("neighbour table needs at least two classes present")
     return NeighborTable(ids, pca_project(dataset.features[ids], embed_dims), labels)
 

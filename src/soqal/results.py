@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 from . import __version__
-from .config import ExperimentConfig, canonical_lines, config_hash, parse_config_text
+from .config import ExperimentConfig, canonical_lines, lines_hash, parse_config_text
 from .engine import EpochRecord, ResultLog, ask_rate
 from .errors import ConfigError, DataLoadError, UndefinedMetricError
 
@@ -47,21 +47,21 @@ def _epoch_cells(rec: EpochRecord) -> list[str]:
     return cells
 
 
-def provenance_comments(config: ExperimentConfig) -> list[str]:
-    lines = [
-        f"# soqal-results v{__version__}",
-        f"# config_hash = {config_hash(config)}",
-    ]
-    lines.extend(f"# cfg {line}" for line in canonical_lines(config))
-    return lines
+def provenance_comments(config: ExperimentConfig) -> tuple[str, list[str]]:
+    """The config hash and the comment lines naming the config, from one
+    rendering of its canonical lines."""
+    lines = canonical_lines(config)
+    digest = lines_hash(lines)
+    return digest, [f"# soqal-results v{__version__}", f"# config_hash = {digest}",
+                    *(f"# cfg {line}" for line in lines)]
 
 
 def _result_table(
     config: ExperimentConfig, seed: int, epochs: list[EpochRecord],
     test_auc: float, final_rate: float, stratified: bool,
-) -> tuple[list[str], list[list[str]]]:
-    """The comment lines and rows of a result file: the format's one definition."""
-    digest = config_hash(config)
+) -> tuple[str, list[str], list[list[str]]]:
+    """The config hash, comment lines and rows of a result file: the format's one definition."""
+    digest, comments = provenance_comments(config)
     rows = [[str(seed), *_epoch_cells(rec), "", digest, __version__] for rec in epochs]
     if epochs:  # the reader also re-renders a file in which it found none
         final = {
@@ -72,9 +72,8 @@ def _result_table(
         }
         cells = (final.get(f.name, "") for f in fields(EpochRecord))
         rows.append([str(seed), *cells, format_float(test_auc), digest, __version__])
-    comments = provenance_comments(config)
     comments.append(f"# stratified_split = {str(stratified).lower()}")
-    return comments, rows
+    return digest, comments, rows
 
 
 def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> None:
@@ -83,7 +82,7 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
         final_rate = ask_rate(log)
     except UndefinedMetricError:
         final_rate = float("nan")
-    comments, rows = _result_table(
+    _, comments, rows = _result_table(
         config, log.seed, log.epochs, log.test_auc, final_rate, log.stratified_split
     )
     write_table(path, RESULT_COLUMNS, rows, comments)
@@ -95,13 +94,10 @@ class ResultFile:
 
     seed: int
     config: ExperimentConfig  # rebuilt from the `# cfg` lines
+    config_hash: str
     epoch_rows: list[dict[str, float]]  # keyed by EpochRecord field
     test_auc: float
     final_ask_rate: float
-
-    @property
-    def config_hash(self) -> str:
-        return config_hash(self.config)
 
 
 def read_result_csv(path: str) -> ResultFile:
@@ -147,7 +143,7 @@ def read_result_csv(path: str) -> ResultFile:
         epoch_rows[-1]["epoch"] = len(epoch_rows)  # by position: a gap or repeat re-renders
     stratified = "# stratified_split = false\n" not in lines[:at]
     records = [EpochRecord(**row) for row in epoch_rows]
-    comments, rows = _result_table(config, seed, records, test_auc, final_rate, stratified)
+    digest, comments, rows = _result_table(config, seed, records, test_auc, final_rate, stratified)
     pairs = zip_longest(_table_text(RESULT_COLUMNS, rows, comments).splitlines(True), lines)
     for n, pair in enumerate(pairs, start=1):
         if pair[0] != pair[1]:
@@ -156,7 +152,7 @@ def read_result_csv(path: str) -> ResultFile:
     if not epoch_rows:
         n = len(lines) + 1
         raise DataLoadError(f"{path} line {n}: expected an epoch row, found end of file")
-    return ResultFile(seed, config, epoch_rows, test_auc, final_rate)
+    return ResultFile(seed, config, digest, epoch_rows, test_auc, final_rate)
 
 
 def write_table(

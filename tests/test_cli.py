@@ -1,10 +1,10 @@
+import concurrent.futures
 import hashlib
 import importlib.util
 import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +176,28 @@ class TestRun:
              "--out", str(tmp_path / "x")]
         )
         assert code == 1
+
+    def test_config_file_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("a = 1\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 1: unknown key: a\n"
+        assert not out.exists()
+
+    def test_result_file_cfg_error_names_the_file_once(self, config_path, tmp_path, capsys):
+        out = tmp_path / "cfgkey"
+        argv = ["run", "--config", config_path, "--out", str(out)]
+        assert main(argv) == 0
+        target = out / "results_0.csv"
+        text = target.read_text()
+        target.write_text(text.replace("# cfg strategy.S = ", "# cfg strategy.Z = "))
+        capsys.readouterr()
+        for again in (argv, ["report", "--in", str(out)]):
+            assert main(again) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {target} line ") and "unknown key: strategy.Z" in err
+            assert err.count(str(target)) == 1
 
     def test_runtime_error_exits_two(self, config_path, tmp_path):
         blocker = tmp_path / "blocker"
@@ -356,12 +378,13 @@ class TestRun:
     def test_pool_has_no_more_workers_than_pending_seeds(self, config_path, tmp_path, monkeypatch):
         started = []
 
-        class RecordingPool(ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(soqal.cli, "ProcessPoolExecutor", RecordingPool)
+        # The parallel branch imports the pool from concurrent.futures when it runs.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert main(["run", "--config", config_path, "--jobs", "64",
                      "--out", str(tmp_path / "capped")]) == 0
         assert started == [2]
@@ -679,3 +702,26 @@ class TestEntryPoint:
 
     def test_bad_usage_exits_one(self):
         assert main(["run"]) == 1  # missing --config
+
+    def test_serial_run_and_report_load_neither_the_pool_nor_masked_arrays(
+        self, config_path, tmp_path
+    ):
+        # Modules that `import numpy, numpy.random` loads itself do not count.
+        out = str(tmp_path / "lean")
+        script = "\n".join([
+            "import sys",
+            "import numpy, numpy.random",
+            "before = set(sys.modules)",
+            "from soqal.cli import main",
+            f"assert main(['run', '--config', {config_path!r}, '--out', {out!r},",
+            "             '--set', 'oracle.kind=nn-flip', '--set', 'oracle.gamma=0.2']) == 0",
+            f"assert main(['report', '--in', {out!r}]) == 0",
+            "print(*sorted(set(sys.modules) - before))",
+        ])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=subprocess_env())
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.split())
+        assert {"soqal.engine", "soqal.oracle"} <= loaded
+        unused = {"numpy.ma", "multiprocessing", "concurrent.futures.process"}
+        assert not loaded & unused

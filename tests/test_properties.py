@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
@@ -28,7 +28,7 @@ from soqal.engine import (
 )
 from soqal.errors import DataLoadError
 from soqal.gate import GateStats, chernoff_bound, hellinger
-from soqal.metrics import _midranks, auc_binary
+from soqal.metrics import _midranks, auc_binary, sorted_unique
 from soqal.oracle import ORACLE_KINDS, NeighborTable
 from soqal.results import read_result_csv, write_result_csv
 from soqal.strategy import STRATEGY_NAMES
@@ -92,6 +92,28 @@ def test_auc_binary_equals_concordance_count(pairs):
 def test_midranks_equal_scipy_average_ranks(values):
     values = values.astype(np.float64)  # few distinct values: many ties
     np.testing.assert_array_equal(_midranks(values), rankdata(values, method="average"))
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.sampled_from([np.int64, np.int32, np.float64]).flatmap(
+            lambda dtype: arrays(dtype, st.integers(0, 40), elements=st.integers(-3, 3))
+        ),
+        arrays(np.float64, st.integers(0, 40), elements=st.floats(-1e3, 1e3)),
+    )
+)
+@example(np.array([], dtype=np.float64))
+@example(np.array([], dtype=np.int64))
+@example(np.array([-2, -2, -2]))
+@example(np.array([5]))
+def test_sorted_unique_equals_np_unique(values):
+    # The arrays soqal passes it are labels and instance ids; also check
+    # empty, one-class, negative and float-typed ones.
+    expected = np.unique(values)
+    found = sorted_unique(values)
+    assert found.dtype == expected.dtype
+    np.testing.assert_array_equal(found, expected)
 
 
 @PROPERTY
