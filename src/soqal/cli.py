@@ -58,6 +58,27 @@ def summarize(files: list[ResultFile]) -> dict[str, float]:
     }
 
 
+def _summary_row(
+    lead: list[str], files: list[ResultFile], digest: str, columns: list[str]
+) -> list[str]:
+    """The leading cells, then the seed statistics of one config's files."""
+    cells = {k: format_float(v) for k, v in summarize(files).items()}
+    cells.update(n_seeds=str(len(files)), config_hash=digest, artifact_version=__version__)
+    return lead + [cells[c] for c in columns[len(lead):]]
+
+
+def _shared_header(configs: list[ExperimentConfig]) -> list[str]:
+    """The provenance lines that every config shares: the header of a table
+    with one row per config, whose rows name the rest."""
+    headers = [provenance_comments(cfg)[1] for cfg in configs]
+    return [line for line in headers[0] if all(line in h for h in headers)]
+
+
+def _settings(config: ExperimentConfig) -> dict[str, str]:
+    """Each canonical key's value, spelled as in the `# cfg` lines."""
+    return dict(line.split(" = ", 1) for line in canonical_lines(config))
+
+
 def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
     """Load the config and apply `--set` settings and `--out`; `_run_grids`
     validates the result."""
@@ -112,8 +133,7 @@ def _run_grids(
                 continue
             found = files[path] = read_result_csv(path)
             if (found.config_hash, found.seed) != (digest, seed):
-                old, new = (dict(line.split(" = ", 1) for line in canonical_lines(c))
-                            for c in (found.config, cfg))
+                old, new = _settings(found.config), _settings(cfg)
                 keys = "".join(f"; {k}: {old[k]} in the file, {new[k]} in this run"
                                for k in old if old[k] != new[k])
                 raise ConfigError(
@@ -135,17 +155,13 @@ def _run_grids(
             _run_one(*run)
     for _, _, path in pending:
         files[path] = read_result_csv(path)
-    rows = []
-    for lead, digest, paths in grid:
-        group = [files[path] for path in paths]
-        cells = {k: format_float(v) for k, v in summarize(group).items()}
-        cells.update(
-            n_seeds=str(len(group)), config_hash=digest, artifact_version=__version__
-        )
-        rows.append(lead + [cells[c] for c in columns[len(lead):]])
-    headers = [provenance_comments(cfg)[1] for _, cfg, _ in variants]
-    shared = [line for line in headers[0] if all(line in h for h in headers)]
-    write_table(summary_path, columns, rows, shared)
+    rows = [_summary_row(lead, [files[p] for p in paths], digest, columns)
+            for lead, digest, paths in grid]
+    write_table(summary_path, columns, rows, _shared_header([cfg for _, cfg, _ in variants]))
+
+
+RUN_COLUMNS = ["strategy", "n_seeds", "mean_test_auc", "std_test_auc",
+               "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -157,10 +173,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg = replace(config, strategy=replace(config.strategy, name=name))
         sub_dir = out_root if len(strategies) == 1 else os.path.join(out_root, name)
         variants.append(([name], cfg, sub_dir))
-    columns = ["strategy", "n_seeds", "mean_test_auc", "std_test_auc",
-               "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
-    summary_path = os.path.join(out_root, "summary.csv")
-    _run_grids(variants, columns, args.jobs, summary_path)
+    _run_grids(variants, RUN_COLUMNS, args.jobs, os.path.join(out_root, "summary.csv"))
     return 0
 
 
@@ -198,74 +211,55 @@ def _find_result_files(root: str) -> list[str]:
     return sorted(found)
 
 
-def _noise_tag(config: ExperimentConfig) -> str:
-    kind, gamma = config.oracle.kind, config.oracle.gamma
-    return kind if kind == "noise-free" else f"{kind}@{gamma!r}"  # as `# cfg` spells gamma
+def _csv_cell(value: str) -> str:
+    """`value` as one CSV cell: quoted when it holds a comma or a quote."""
+    return '"' + value.replace('"', '""') + '"' if "," in value or '"' in value else value
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    """Write `askrate.csv` (the grid summary's row) and `curves.csv` (the mean
+    validation AUC per epoch) for each config hash found, in path order."""
     paths = _find_result_files(args.in_dir)
     if not paths:
         raise ConfigError(f"no result files under {args.in_dir}")
-    files = [read_result_csv(p) for p in paths]
     first: dict[tuple[str, int], str] = {}
-    for path, f in zip(paths, files):
+    groups: dict[str, list[ResultFile]] = {}
+    for path in paths:
+        f = read_result_csv(path)
         seen = first.setdefault((f.config_hash, f.seed), path)
         if seen != path:
             raise ConfigError(
                 f"{seen} and {path} both hold seed {f.seed} under config_hash "
                 f"{f.config_hash}; remove one so the run counts once"
             )
+        groups.setdefault(f.config_hash, []).append(f)
+    configs = [group[0].config for group in groups.values()]
+    settings = [_settings(cfg) for cfg in configs]
+    keys = [k for k in settings[0]  # the settings besides the strategy that differ
+            if k != "strategy.name" and any(s[k] != settings[0][k] for s in settings)]
+    leads = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
+             for cfg, s in zip(configs, settings)]
+    header = _shared_header(configs)
     out_dir = args.out or args.in_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    by_strategy: dict[str, list[ResultFile]] = {}
-    for f in files:
-        by_strategy.setdefault(f.config.strategy.name, []).append(f)
-
-    def group_hash(group_files: list[ResultFile]) -> str:
-        hashes = {f.config_hash for f in group_files}
-        return hashes.pop() if len(hashes) == 1 else "mixed"
-
     curve_rows = []
-    for strategy in sorted(by_strategy):
-        group = by_strategy[strategy]
-        digest = group_hash(group)
+    for lead, (digest, group) in zip(leads, groups.items()):
         per_epoch: dict[int, list[float]] = {}
         for f in group:
             for row in f.epoch_rows:
                 per_epoch.setdefault(row["epoch"], []).append(row["val_auc"])
         for epoch in sorted(per_epoch):
             mean, std = _mean_std(per_epoch[epoch])
-            curve_rows.append(
-                [str(epoch), strategy, format_float(mean), format_float(std), digest,
-                 __version__]
-            )
-    write_table(
-        os.path.join(out_dir, "curves.csv"),
-        ["epoch", "strategy", "mean_val_auc", "std_val_auc", "config_hash",
-         "artifact_version"],
-        curve_rows,
-        [f"# soqal-report v{__version__}"],
-    )
-
-    rate_rows = []
-    by_group: dict[tuple[str, str], list[ResultFile]] = {}
-    for f in files:
-        group = (f.config.strategy.name, _noise_tag(f.config))
-        by_group.setdefault(group, []).append(f)
-    for (strategy, noise) in sorted(by_group):
-        group = by_group[(strategy, noise)]
-        mean, _ = _mean_std([f.final_ask_rate for f in group])
-        rate_rows.append(
-            [strategy, noise, format_float(mean), group_hash(group), __version__]
-        )
-    write_table(
-        os.path.join(out_dir, "askrate.csv"),
-        ["strategy", "noise", "mean_ask_rate", "config_hash", "artifact_version"],
-        rate_rows,
-        [f"# soqal-report v{__version__}"],
-    )
+            curve_rows.append([str(epoch), *lead, format_float(mean), format_float(std),
+                               digest, __version__])
+    curve_columns = ["epoch", "strategy", *keys, "mean_val_auc", "std_val_auc",
+                     "config_hash", "artifact_version"]
+    write_table(os.path.join(out_dir, "curves.csv"), curve_columns, curve_rows, header)
+    columns = RUN_COLUMNS[:1] + keys + RUN_COLUMNS[1:]
+    rate_rows = [_summary_row(lead, group, digest, columns)
+                 for lead, (digest, group) in zip(leads, groups.items())]
+    write_table(os.path.join(out_dir, "askrate.csv"), columns, rate_rows, header)
     return 0
 
 

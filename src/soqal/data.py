@@ -105,16 +105,16 @@ def gen_synthetic(
     return Dataset(features=features, labels=labels, n_classes=n_classes)
 
 
-def _parse_float(cell: str, row: int, column: str) -> float:
+def _parse_float(path: str, cell: str, row: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise DataLoadError(
-            f"non-numeric feature value {cell!r} at row {row}, column {column!r}"
+            f"{path}: non-numeric feature value {cell!r} at row {row}, column {column!r}"
         ) from None
     if not math.isfinite(value):
         raise DataLoadError(
-            f"non-finite feature value {cell!r} at row {row}, column {column!r}"
+            f"{path}: non-finite feature value {cell!r} at row {row}, column {column!r}"
         )
     return value
 
@@ -124,16 +124,19 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
 
     Every column except `label_column` is parsed as a float64 feature.
     String labels map to class indices in order of first appearance.
-    Rows are numbered from 1 (header excluded) in error messages.
+    Every error names the file; rows are numbered from 1 (header excluded).
+    The file needs a feature column and at least two label values.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataLoadError(f"empty file: {path}") from None
+            raise DataLoadError(f"{path}: empty file") from None
         if label_column not in header:
-            raise DataLoadError(f"missing label column {label_column!r} in {path}")
+            raise DataLoadError(f"{path}: missing label column {label_column!r}")
+        if len(header) < 2:
+            raise DataLoadError(f"{path}: no feature column besides {label_column!r}")
         label_pos = header.index(label_column)
 
         rows: list[list[float]] = []
@@ -142,7 +145,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         for row_idx, record in enumerate(reader, start=1):
             if len(record) != len(header):
                 raise DataLoadError(
-                    f"row {row_idx} has {len(record)} cells, expected {len(header)}"
+                    f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
                 )
             raw_label = record[label_pos]
             if raw_label not in label_map:
@@ -150,14 +153,16 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             label_values.append(label_map[raw_label])
             rows.append(
                 [
-                    _parse_float(cell, row_idx, header[i])
+                    _parse_float(path, cell, row_idx, header[i])
                     for i, cell in enumerate(record)
                     if i != label_pos
                 ]
             )
 
     if not rows:
-        raise DataLoadError(f"no data rows in {path}")
+        raise DataLoadError(f"{path}: no data rows")
+    if len(label_map) < 2:
+        raise DataLoadError(f"{path}: every row has label {raw_label!r}; need 2 classes or more")
     return Dataset(
         features=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(label_values, dtype=np.int64),

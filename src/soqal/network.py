@@ -67,8 +67,6 @@ class Network:
         seed: int | np.random.SeedSequence,
         gate_detached: bool = False,
     ) -> "Network":
-        if n_classes < 2:
-            raise ConfigError("need at least 2 classes")
         rng = np.random.default_rng(seed)
         trunk = []
         fan_in = n_features

@@ -304,6 +304,18 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "text", ["label\na\nb\n", "x1,label\n1.0,a\n2.0,a\n"], ids=["label-only", "one-class"]
+    )
+    def test_unusable_csv_exits_one_naming_the_file(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset.source = csv\ndataset.csv_path = {data}\nseeds = 0\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {data}: ")
+
+    @pytest.mark.parametrize(
         "settings,key",
         [
             (["dataset.train_frac=0.8", "dataset.val_frac=0.2", "dataset.test_frac=0.0"],
@@ -454,8 +466,8 @@ PINNED_PANELS = {
     "pool-bald": {"results_0.csv": "d238421aeea2", "summary.csv": "d64159229897"},
     "train-wide": {"results_0.csv": "d669254c597d", "summary.csv": "c934db88a9f5"},
     "grid-nnflip": {
-        "askrate.csv": "5034027077e9",
-        "curves.csv": "c0d1b91786ef",
+        "askrate.csv": "37eee9adf142",
+        "curves.csv": "34ab9ee6daac",
         "summary.csv": "2fc31af62294",
         "soqal/results_0.csv": "9307cfc4a634",
         "soqal/results_1.csv": "df91e5bd577f",
@@ -646,11 +658,38 @@ class TestReport:
         curves = read_table(out / "curves.csv")
         assert len(curves) == 12  # 6 epochs x 2 strategies
         assert {r["strategy"] for r in curves} == {"full-oracle", "no-oracle"}
+        # One row per config hash, built as the grid summary builds its rows.
+        assert (out / "askrate.csv").read_bytes() == (out / "summary.csv").read_bytes()
+
+    def test_two_dataset_kinds_give_two_labelled_rows(self, config_path, tmp_path):
+        out = tmp_path / "kinds"
+        for kind in ("gaussian-blobs", "noisy-sine-classes"):
+            assert main(["run", "--config", config_path, "--set", "seeds=0",
+                         "--set", f"dataset.kind={kind}", "--out", str(out / kind)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
         rates = read_table(out / "askrate.csv")
-        assert {r["strategy"] for r in rates} == {"full-oracle", "no-oracle"}
-        for row in rates:
-            assert 0.0 <= float(row["mean_ask_rate"]) <= 1.0
-        assert all(r["noise"] == "noise-free" for r in rates)
+        assert [(r["strategy"], r["dataset.kind"], r["n_seeds"]) for r in rates] == [
+            ("soqal", "gaussian-blobs", "1"), ("soqal", "noisy-sine-classes", "1")]
+        for kind, row in zip(("gaussian-blobs", "noisy-sine-classes"), rates):
+            assert row["config_hash"] == read_table(out / kind / "summary.csv")[0]["config_hash"]
+        curves = read_table(out / "curves.csv")
+        assert [r["dataset.kind"] for r in curves] == ["gaussian-blobs"] * 6 + ["noisy-sine-classes"] * 6
+        text = (out / "askrate.csv").read_text() + (out / "curves.csv").read_text()
+        assert "mixed" not in text
+        assert "# cfg dataset.kind" not in text and "# config_hash" not in text
+        assert "# cfg dataset.n = 120" in comment_lines(out / "askrate.csv")
+
+    def test_threshold_sweep_gives_the_sweep_summary_rates(self, config_path, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", config_path, "--param", "S",
+                     "--values", "0.05,0.4", "--out", str(out)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
+        rates = read_table(out / "askrate.csv")
+        swept = read_table(out / "sweep_summary.csv")
+        assert [r["strategy.S"] for r in rates] == ["0.05", "0.4"]
+        assert [(r["mean_ask_rate"], r["config_hash"]) for r in rates] == [
+            (r["mean_ask_rate"], r["config_hash"]) for r in swept]
+        assert comment_lines(out / "askrate.csv") == comment_lines(out / "sweep_summary.csv")
 
     @pytest.mark.parametrize("cut", CUTS)
     def test_short_result_row_exits_one_naming_the_file(

@@ -93,6 +93,32 @@ class TestLoadCsv:
         with pytest.raises(DataLoadError, match="empty"):
             load_csv(str(path))
 
+    def test_label_only_file_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\na\nb\n")
+        with pytest.raises(DataLoadError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == f"{path}: no feature column besides 'label'"
+
+    def test_one_class_file_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("x1,label\n1.0,a\n2.0,a\n")
+        with pytest.raises(DataLoadError) as exc:
+            load_csv(str(path))
+        assert str(exc.value) == f"{path}: every row has label 'a'; need 2 classes or more"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "x1,x2\n1.0,2.0\n", "x1,label\n", "x1,label\n1.0\n", "x1,label\nnan,a\n"],
+        ids=["empty", "no-label-column", "no-rows", "short-row", "nan-cell"],
+    )
+    def test_every_error_starts_with_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataLoadError) as exc:
+            load_csv(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_round_trip(self, tmp_path):
         original = gen_synthetic("gaussian-blobs", 40, 2, 3, 2.0, seed=6)
         path = tmp_path / "round.csv"

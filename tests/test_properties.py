@@ -1,6 +1,7 @@
 """Property tests for the core math and for whole runs, with a fixed
 example sequence (`derandomize=True`) so the suite stays deterministic."""
 
+import csv
 import math
 import tempfile
 from collections import Counter
@@ -16,7 +17,8 @@ from scipy import integrate
 from scipy.stats import norm, rankdata
 
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
-from soqal.config import ACQUISITION_NAMES, ExperimentConfig, config_hash
+from soqal.cli import main
+from soqal.config import ACQUISITION_NAMES, ExperimentConfig, apply_setting, config_hash
 from soqal.data import SYNTHETIC_KINDS, _largest_remainder, split
 from soqal.engine import (
     AcquisitionRecord,
@@ -363,3 +365,53 @@ def test_result_csv_with_any_one_line_replaced_is_rejected_naming_a_line(log, da
         with pytest.raises(DataLoadError) as exc:
             read_result_csv(str(path))
     assert str(exc.value).startswith(f"{path} line ")
+
+
+# Settings in which the result files of one report directory may differ.
+REPORT_KEYS = ("strategy.name", "dataset.kind", "strategy.S", "seeds")
+report_variants = st.tuples(
+    st.sampled_from(["soqal", "full-oracle"]),
+    st.sampled_from(SYNTHETIC_KINDS[:2]),
+    st.sampled_from(["0.15", "0.4"]),
+    st.sampled_from(["0", "0,1", "1,2"]),
+).map(lambda values: dict(zip(REPORT_KEYS, values)))
+# A run's AUCs lie in [0, 1] or are undefined.
+run_logs = st.builds(
+    lambda log, auc: replace(log, test_auc=auc,
+                             epochs=[replace(rec, val_auc=auc) for rec in log.epochs]),
+    result_logs, st.one_of(st.floats(0.0, 1.0), st.just(math.nan)),
+)
+
+
+@PROPERTY
+@given(st.lists(report_variants, min_size=1, max_size=4, unique_by=str), st.data())
+def test_report_writes_one_summary_row_per_config_hash(variants, data):
+    """`report` groups files by config hash alone and names in its own
+    columns every setting other than the strategy that differs."""
+    rates: dict[str, list[float]] = {}  # final ask rate per file, by config hash
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, variant in enumerate(variants):
+            config = ExperimentConfig()
+            for key, value in variant.items():
+                config = apply_setting(config, key, value)
+            Path(tmp, str(i)).mkdir()
+            for seed in config.seeds:
+                log = replace(data.draw(run_logs), seed=seed)
+                write_result_csv(log, config, str(Path(tmp, str(i), f"results_{seed}.csv")))
+                rate = ask_rate(log) if log.acquisitions else math.nan
+                rates.setdefault(config_hash(config), []).append(rate)
+        assert main(["report", "--in", tmp]) == 0
+        with open(Path(tmp, "askrate.csv"), encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(line for line in fh if not line.startswith("#")))
+
+    differing = sorted(k for k in variants[0] if k != "strategy.name"
+                       and any(v[k] != variants[0][k] for v in variants))
+    header, rows = table[0], [dict(zip(table[0], row)) for row in table[1:]]
+    assert header == ["strategy", *differing, "n_seeds", "mean_test_auc", "std_test_auc",
+                      "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
+    assert sorted(row["config_hash"] for row in rows) == sorted(rates)
+    assert sum(int(row["n_seeds"]) for row in rows) == sum(map(len, rates.values()))
+    for row in rows:
+        defined = [r for r in rates[row["config_hash"]] if not math.isnan(r)]
+        expected = sum(defined) / len(defined) if defined else math.nan
+        assert float(row["mean_ask_rate"]) == pytest.approx(expected, rel=1e-12, nan_ok=True)
