@@ -47,26 +47,6 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def summarize(files: list[ResultFile]) -> dict[str, float]:
-    auc_mean, auc_std = _mean_std([f.test_auc for f in files])
-    rate_mean, rate_std = _mean_std([f.final_ask_rate for f in files])
-    return {
-        "mean_test_auc": auc_mean,
-        "std_test_auc": auc_std,
-        "mean_ask_rate": rate_mean,
-        "std_ask_rate": rate_std,
-    }
-
-
-def _summary_row(
-    lead: list[str], files: list[ResultFile], digest: str, columns: list[str]
-) -> list[str]:
-    """The leading cells, then the seed statistics of one config's files."""
-    cells = {k: format_float(v) for k, v in summarize(files).items()}
-    cells.update(n_seeds=str(len(files)), config_hash=digest, artifact_version=__version__)
-    return lead + [cells[c] for c in columns[len(lead):]]
-
-
 def _shared_header(configs: list[ExperimentConfig]) -> list[str]:
     """The provenance lines that every config shares: the header of a table
     with one row per config, whose rows name the rest."""
@@ -77,6 +57,41 @@ def _shared_header(configs: list[ExperimentConfig]) -> list[str]:
 def _settings(config: ExperimentConfig) -> dict[str, str]:
     """Each canonical key's value, spelled as in the `# cfg` lines."""
     return dict(line.split(" = ", 1) for line in canonical_lines(config))
+
+
+def _csv_cell(value: str) -> str:
+    """`value` as one CSV cell: quoted when it holds a comma or a quote."""
+    return '"' + value.replace('"', '""') + '"' if "," in value or '"' in value else value
+
+
+def _leads(configs: list[ExperimentConfig]) -> tuple[list[str], list[list[str]]]:
+    """The leading columns of a table with one row per config, and each
+    config's cells under them: `strategy`, then every setting besides the
+    strategy whose value differs between the configs, spelled as in the
+    `# cfg` lines.  The settings they share are in `_shared_header`."""
+    settings = [_settings(cfg) for cfg in configs]
+    keys = [k for k in settings[0]
+            if k != "strategy.name" and any(s[k] != settings[0][k] for s in settings)]
+    leads = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
+             for cfg, s in zip(configs, settings)]
+    return ["strategy", *keys], leads
+
+
+def _write_summary(path: str, groups: list[list[ResultFile]]) -> None:
+    """Write one row per config's result files: the leading cells, then the
+    seed count, the mean and standard deviation of test AUC and of ask rate,
+    the config hash and the artifact version."""
+    configs = [files[0].config for files in groups]
+    lead_columns, leads = _leads(configs)
+    columns = [*lead_columns, "n_seeds", "mean_test_auc", "std_test_auc",
+               "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
+    rows = []
+    for lead, files in zip(leads, groups):
+        stats = (*_mean_std([f.test_auc for f in files]),
+                 *_mean_std([f.final_ask_rate for f in files]))
+        rows.append([*lead, str(len(files)), *map(format_float, stats),
+                     files[0].config_hash, __version__])
+    write_table(path, columns, rows, _shared_header(configs))
 
 
 def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
@@ -92,14 +107,10 @@ def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
 
 
 def _run_grids(
-    variants: list[tuple[list[str], ExperimentConfig, str]],
-    columns: list[str],
-    jobs: int,
-    summary_path: str,
+    variants: list[tuple[ExperimentConfig, str]], jobs: int, summary_path: str
 ) -> None:
-    """Run every pending seed of each (leading cells, config, directory)
-    variant and write one summary row per variant, under the provenance
-    lines that every variant shares.
+    """Run every pending seed of each (config, directory) variant and write
+    the summary, one row per variant in the given order.
 
     Before anything runs, every variant is validated and checked to differ
     from the others, and each existing `results_<seed>.csv` is read (which
@@ -107,16 +118,15 @@ def _run_grids(
     seed; a differing hash names the keys that differ.
     Missing files are run, all in one process pool when `jobs` > 1;
     completed files are never overwritten, so an interrupted grid resumes
-    where it stopped.  The leading cells fill the first columns; the rest
-    are named from the variant's seed grid.
+    where it stopped.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dirs: dict[str, str] = {}
     files: dict[str, ResultFile] = {}
     pending = []
-    grid = []  # (leading cells, config hash, result paths) per variant
-    for lead, cfg, out_dir in variants:
+    grid = []  # result paths per variant
+    for cfg, out_dir in variants:
         validate(cfg)
         digest = config_hash(cfg)
         if digest in dirs:
@@ -126,7 +136,7 @@ def _run_grids(
             )
         dirs[digest] = out_dir
         paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in cfg.seeds]
-        grid.append((lead, digest, paths))
+        grid.append(paths)
         for seed, path in zip(cfg.seeds, paths):
             if not os.path.exists(path):
                 pending.append((cfg, seed, path))
@@ -155,13 +165,7 @@ def _run_grids(
             _run_one(*run)
     for _, _, path in pending:
         files[path] = read_result_csv(path)
-    rows = [_summary_row(lead, [files[p] for p in paths], digest, columns)
-            for lead, digest, paths in grid]
-    write_table(summary_path, columns, rows, _shared_header([cfg for _, cfg, _ in variants]))
-
-
-RUN_COLUMNS = ["strategy", "n_seeds", "mean_test_auc", "std_test_auc",
-               "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
+    _write_summary(summary_path, [[files[p] for p in paths] for paths in grid])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -172,8 +176,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for name in strategies:
         cfg = replace(config, strategy=replace(config.strategy, name=name))
         sub_dir = out_root if len(strategies) == 1 else os.path.join(out_root, name)
-        variants.append(([name], cfg, sub_dir))
-    _run_grids(variants, RUN_COLUMNS, args.jobs, os.path.join(out_root, "summary.csv"))
+        variants.append((cfg, sub_dir))
+    _run_grids(variants, args.jobs, os.path.join(out_root, "summary.csv"))
     return 0
 
 
@@ -189,35 +193,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _prepare(args, [])
     variants = [
         (
-            [args.param, value],
             apply_setting(config, SWEEPABLE[args.param], value),
             os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),
         )
         for value in values
     ]
-    columns = ["param", "value", "mean_test_auc", "mean_ask_rate", "n_seeds",
-               "config_hash", "artifact_version"]
-    summary_path = os.path.join(config.output_dir, "sweep_summary.csv")
-    _run_grids(variants, columns, args.jobs, summary_path)
+    _run_grids(variants, args.jobs, os.path.join(config.output_dir, "sweep_summary.csv"))
     return 0
 
 
 def _find_result_files(root: str) -> list[str]:
     found = []
     for dirpath, _, filenames in os.walk(root):
-        for name in sorted(filenames):
+        for name in filenames:
             if name.startswith("results_") and name.endswith(".csv"):
                 found.append(os.path.join(dirpath, name))
     return sorted(found)
 
 
-def _csv_cell(value: str) -> str:
-    """`value` as one CSV cell: quoted when it holds a comma or a quote."""
-    return '"' + value.replace('"', '""') + '"' if "," in value or '"' in value else value
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    """Write `askrate.csv` (the grid summary's row) and `curves.csv` (the mean
+    """Write `askrate.csv` (the grid summary's rows) and `curves.csv` (the mean
     validation AUC per epoch) for each config hash found, in path order."""
     paths = _find_result_files(args.in_dir)
     if not paths:
@@ -234,12 +229,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
         groups.setdefault(f.config_hash, []).append(f)
     configs = [group[0].config for group in groups.values()]
-    settings = [_settings(cfg) for cfg in configs]
-    keys = [k for k in settings[0]  # the settings besides the strategy that differ
-            if k != "strategy.name" and any(s[k] != settings[0][k] for s in settings)]
-    leads = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
-             for cfg, s in zip(configs, settings)]
-    header = _shared_header(configs)
+    lead_columns, leads = _leads(configs)
     out_dir = args.out or args.in_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -253,13 +243,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             mean, std = _mean_std(per_epoch[epoch])
             curve_rows.append([str(epoch), *lead, format_float(mean), format_float(std),
                                digest, __version__])
-    curve_columns = ["epoch", "strategy", *keys, "mean_val_auc", "std_val_auc",
+    curve_columns = ["epoch", *lead_columns, "mean_val_auc", "std_val_auc",
                      "config_hash", "artifact_version"]
-    write_table(os.path.join(out_dir, "curves.csv"), curve_columns, curve_rows, header)
-    columns = RUN_COLUMNS[:1] + keys + RUN_COLUMNS[1:]
-    rate_rows = [_summary_row(lead, group, digest, columns)
-                 for lead, (digest, group) in zip(leads, groups.items())]
-    write_table(os.path.join(out_dir, "askrate.csv"), columns, rate_rows, header)
+    write_table(os.path.join(out_dir, "curves.csv"), curve_columns, curve_rows,
+                _shared_header(configs))
+    _write_summary(os.path.join(out_dir, "askrate.csv"), list(groups.values()))
     return 0
 
 

@@ -55,7 +55,7 @@ class SplitIndices:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    init_labelled: np.ndarray  # subset of train
+    init_labelled: np.ndarray  # sorted subset of train
     stratified: bool  # False when a class was too small and we fell back
 
 

@@ -27,7 +27,7 @@ from .config import ExperimentConfig, validate
 from .data import Dataset, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError, UndefinedMetricError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
-from .metrics import auc_ovr, sorted_unique
+from .metrics import auc_ovr
 from .network import Network, train_epoch
 from .oracle import Oracle
 from .strategy import decide
@@ -119,7 +119,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     decision_rng = np.random.default_rng(decision_ss)
     oracle_rng = np.random.default_rng(oracle_ss)
 
-    initial = sorted_unique(np.asarray(parts.init_labelled, dtype=np.int64))
+    initial = parts.init_labelled  # sorted, distinct int64 ids
     if not initial.size:
         raise ConfigError("initial labelled pool is empty")
     labelled = initial.tolist()

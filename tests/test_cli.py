@@ -580,13 +580,31 @@ class TestSweep:
         out = tmp_path / "sweep"
         code = main(
             ["sweep", "--config", config_path, "--param", "S",
-             "--values", "0.1,0.4", "--out", str(out)]
+             "--values", "0.10,0.4", "--out", str(out)]
         )
         assert code == 0
+        assert (out / "sweep_S_0.10" / "results_0.csv").exists()
         rows = read_table(out / "sweep_summary.csv")
-        assert [(r["param"], r["value"]) for r in rows] == [("S", "0.1"), ("S", "0.4")]
+        # The swept setting's column is spelled as in the `# cfg` lines.
+        assert list(rows[0])[:2] == ["strategy", "strategy.S"]
+        assert [(r["strategy"], r["strategy.S"]) for r in rows] == [
+            ("soqal", "0.1"), ("soqal", "0.4")]
         for row in rows:
+            assert row["n_seeds"] == "2"
             assert 0.0 <= float(row["mean_ask_rate"]) <= 1.0
+        header = comment_lines(out / "sweep_summary.csv")
+        assert not any(line.startswith("# cfg strategy.S = ") for line in header)
+        assert "# cfg dataset.n = 120" in header
+
+    def test_one_value_sweep_names_the_value_in_its_header(self, config_path, tmp_path):
+        out = tmp_path / "one"
+        assert main(["sweep", "--config", config_path, "--param", "S",
+                     "--values", "0.10", "--out", str(out)]) == 0
+        rows = read_table(out / "sweep_summary.csv")
+        assert [list(r)[:2] for r in rows] == [["strategy", "n_seeds"]]
+        header = comment_lines(out / "sweep_summary.csv")
+        assert "# cfg strategy.S = 0.1" in header
+        assert f"# config_hash = {rows[0]['config_hash']}" in header
 
     def test_threshold_grid_full_width(self, config_path, tmp_path):
         out = tmp_path / "seven"
@@ -607,7 +625,7 @@ class TestSweep:
         )
         assert code == 0
         rows = read_table(out / "sweep_summary.csv")
-        assert [r["value"] for r in rows] == ["0.05", "0.1", "0.2", "0.4", "0.8"]
+        assert [r["oracle.gamma"] for r in rows] == ["0.05", "0.1", "0.2", "0.4", "0.8"]
 
     def test_init_labelled_fraction_sweep(self, config_path, tmp_path):
         out = tmp_path / "init"
@@ -684,12 +702,8 @@ class TestReport:
         assert main(["sweep", "--config", config_path, "--param", "S",
                      "--values", "0.05,0.4", "--out", str(out)]) == 0
         assert main(["report", "--in", str(out)]) == 0
-        rates = read_table(out / "askrate.csv")
-        swept = read_table(out / "sweep_summary.csv")
-        assert [r["strategy.S"] for r in rates] == ["0.05", "0.4"]
-        assert [(r["mean_ask_rate"], r["config_hash"]) for r in rates] == [
-            (r["mean_ask_rate"], r["config_hash"]) for r in swept]
-        assert comment_lines(out / "askrate.csv") == comment_lines(out / "sweep_summary.csv")
+        assert [r["strategy.S"] for r in read_table(out / "askrate.csv")] == ["0.05", "0.4"]
+        assert (out / "askrate.csv").read_bytes() == (out / "sweep_summary.csv").read_bytes()
 
     @pytest.mark.parametrize("cut", CUTS)
     def test_short_result_row_exits_one_naming_the_file(

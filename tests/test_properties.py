@@ -234,6 +234,9 @@ def test_run_conserves_the_pool_and_records_provenance(case):
     d, al = config.dataset, config.active_learning
     parts = split(dataset, (d.train_frac, d.val_frac, d.test_frac), split_ss,
                   init_labelled_frac=al.init_labelled_frac)
+    # The run takes the initial pool as it is: sorted, distinct int64 ids.
+    assert parts.init_labelled.dtype == np.int64
+    assert np.all(np.diff(parts.init_labelled) > 0)
     train, initial = set(parts.train.tolist()), set(parts.init_labelled.tolist())
 
     ids = [a.instance_id for a in log.acquisitions]
