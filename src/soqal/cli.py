@@ -15,12 +15,12 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    SWEEPABLE,
     ExperimentConfig,
     apply_setting,
     canonical_lines,
     config_hash,
     load_config,
+    settings,
     validate,
 )
 from .engine import run_experiment
@@ -54,7 +54,7 @@ def _shared_header(configs: list[ExperimentConfig]) -> list[str]:
     return [line for line in headers[0] if all(line in h for h in headers)]
 
 
-def _settings(config: ExperimentConfig) -> dict[str, str]:
+def _spelled(config: ExperimentConfig) -> dict[str, str]:
     """Each canonical key's value, spelled as in the `# cfg` lines."""
     return dict(line.split(" = ", 1) for line in canonical_lines(config))
 
@@ -69,16 +69,28 @@ def _leads(configs: list[ExperimentConfig]) -> tuple[list[str], list[list[str]]]
     config's cells under them: `strategy`, then every setting besides the
     strategy whose value differs between the configs, spelled as in the
     `# cfg` lines.  The settings they share are in `_shared_header`."""
-    settings = [_settings(cfg) for cfg in configs]
-    keys = [k for k in settings[0]
-            if k != "strategy.name" and any(s[k] != settings[0][k] for s in settings)]
+    spelled = [_spelled(cfg) for cfg in configs]
+    keys = [k for k in spelled[0]
+            if k != "strategy.name" and any(s[k] != spelled[0][k] for s in spelled)]
     leads = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
-             for cfg, s in zip(configs, settings)]
+             for cfg, s in zip(configs, spelled)]
     return ["strategy", *keys], leads
 
 
+def _groups(files: list[ResultFile]) -> list[list[ResultFile]]:
+    """The files grouped by config hash, each group in seed order, the groups
+    ordered by strategy, then by each setting's typed value in key order (the
+    hash only breaks the tie of 0.0 and -0.0): one order whatever order the
+    files were named in, so every table is a function of its files alone."""
+    groups: dict[str, list[ResultFile]] = {}
+    for f in sorted(files, key=lambda f: f.seed):
+        groups.setdefault(f.config_hash, []).append(f)
+    return sorted(groups.values(), key=lambda g: (
+        g[0].config.strategy.name, *settings(g[0].config).values(), g[0].config_hash))
+
+
 def _write_summary(path: str, groups: list[list[ResultFile]]) -> None:
-    """Write one row per config's result files: the leading cells, then the
+    """Write one row per group of `_groups`: the leading cells, then the
     seed count, the mean and standard deviation of test AUC and of ask rate,
     the config hash and the artifact version."""
     configs = [files[0].config for files in groups]
@@ -110,7 +122,7 @@ def _run_grids(
     variants: list[tuple[ExperimentConfig, str]], jobs: int, summary_path: str
 ) -> None:
     """Run every pending seed of each (config, directory) variant and write
-    the summary, one row per variant in the given order.
+    the summary, one row per variant in `_groups` order.
 
     Before anything runs, every variant is validated and checked to differ
     from the others, and each existing `results_<seed>.csv` is read (which
@@ -123,9 +135,8 @@ def _run_grids(
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dirs: dict[str, str] = {}
-    files: dict[str, ResultFile] = {}
+    files: list[ResultFile] = []
     pending = []
-    grid = []  # result paths per variant
     for cfg, out_dir in variants:
         validate(cfg)
         digest = config_hash(cfg)
@@ -135,15 +146,15 @@ def _run_grids(
                 f"(config_hash {digest})"
             )
         dirs[digest] = out_dir
-        paths = [os.path.join(out_dir, f"results_{seed}.csv") for seed in cfg.seeds]
-        grid.append(paths)
-        for seed, path in zip(cfg.seeds, paths):
+        for seed in cfg.seeds:
+            path = os.path.join(out_dir, f"results_{seed}.csv")
             if not os.path.exists(path):
                 pending.append((cfg, seed, path))
                 continue
-            found = files[path] = read_result_csv(path)
+            found = read_result_csv(path)
+            files.append(found)
             if (found.config_hash, found.seed) != (digest, seed):
-                old, new = _settings(found.config), _settings(cfg)
+                old, new = _spelled(found.config), _spelled(cfg)
                 keys = "".join(f"; {k}: {old[k]} in the file, {new[k]} in this run"
                                for k in old if old[k] != new[k])
                 raise ConfigError(
@@ -163,9 +174,8 @@ def _run_grids(
     else:
         for run in pending:
             _run_one(*run)
-    for _, _, path in pending:
-        files[path] = read_result_csv(path)
-    _write_summary(summary_path, [[files[p] for p in paths] for paths in grid])
+    files += [read_result_csv(path) for _, _, path in pending]
+    _write_summary(summary_path, _groups(files))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -182,18 +192,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param not in SWEEPABLE:
-        raise ConfigError(
-            f"parameter {args.param!r} is not sweepable; choose from "
-            f"{sorted(SWEEPABLE)}"
-        )
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     config = _prepare(args, [])
     variants = [
         (
-            apply_setting(config, SWEEPABLE[args.param], value),
+            apply_setting(config, args.param, value),
             os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),
         )
         for value in values
@@ -213,12 +218,12 @@ def _find_result_files(root: str) -> list[str]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Write `askrate.csv` (the grid summary's rows) and `curves.csv` (the mean
-    validation AUC per epoch) for each config hash found, in path order."""
+    validation AUC per epoch) for each config hash found, in `_groups` order."""
     paths = _find_result_files(args.in_dir)
     if not paths:
         raise ConfigError(f"no result files under {args.in_dir}")
     first: dict[tuple[str, int], str] = {}
-    groups: dict[str, list[ResultFile]] = {}
+    files = []
     for path in paths:
         f = read_result_csv(path)
         seen = first.setdefault((f.config_hash, f.seed), path)
@@ -227,14 +232,15 @@ def cmd_report(args: argparse.Namespace) -> int:
                 f"{seen} and {path} both hold seed {f.seed} under config_hash "
                 f"{f.config_hash}; remove one so the run counts once"
             )
-        groups.setdefault(f.config_hash, []).append(f)
-    configs = [group[0].config for group in groups.values()]
+        files.append(f)
+    groups = _groups(files)
+    configs = [group[0].config for group in groups]
     lead_columns, leads = _leads(configs)
     out_dir = args.out or args.in_dir
     os.makedirs(out_dir, exist_ok=True)
 
     curve_rows = []
-    for lead, (digest, group) in zip(leads, groups.items()):
+    for lead, group in zip(leads, groups):
         per_epoch: dict[int, list[float]] = {}
         for f in group:
             for row in f.epoch_rows:
@@ -242,12 +248,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         for epoch in sorted(per_epoch):
             mean, std = _mean_std(per_epoch[epoch])
             curve_rows.append([str(epoch), *lead, format_float(mean), format_float(std),
-                               digest, __version__])
+                               group[0].config_hash, __version__])
     curve_columns = ["epoch", *lead_columns, "mean_val_auc", "std_val_auc",
                      "config_hash", "artifact_version"]
     write_table(os.path.join(out_dir, "curves.csv"), curve_columns, curve_rows,
                 _shared_header(configs))
-    _write_summary(os.path.join(out_dir, "askrate.csv"), list(groups.values()))
+    _write_summary(os.path.join(out_dir, "askrate.csv"), groups)
     return 0
 
 

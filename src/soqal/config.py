@@ -14,14 +14,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError
 
-SWEEPABLE = {
-    "S": "strategy.S",
-    "gamma": "oracle.gamma",
-    "init_labelled_frac": "active_learning.init_labelled_frac",
-    "S_entropy": "strategy.S_entropy",
-    "epsilon.d": "strategy.epsilon.d",
-}
-
 ACQUISITION_NAMES = ("bald-mcd", "entropy", "random")
 
 
@@ -244,17 +236,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def settings(config: ExperimentConfig) -> dict:
+    """Each key's typed value, in key order, but the output directory's: the
+    hash identifies the experiment, not where its files land."""
+    return {key: getattr(config if section is None else getattr(config, section), attr)
+            for key, (section, attr, _) in sorted(_KNOWN_KEYS.items()) if key != "output_dir"}
+
+
 def canonical_lines(config: ExperimentConfig) -> list[str]:
-    """Sorted ``key = value`` lines covering every known key but the output
-    directory, so the hash identifies the experiment, not where its files land.
-    """
-    lines = []
-    for key, (section, attr, _) in sorted(_KNOWN_KEYS.items()):
-        if key == "output_dir":
-            continue
-        holder = config if section is None else getattr(config, section)
-        lines.append(f"{key} = {_format_value(getattr(holder, attr))}")
-    return lines
+    """The ``key = value`` lines of `settings`, which the hash covers."""
+    return [f"{key} = {_format_value(value)}" for key, value in settings(config).items()]
 
 
 def config_hash(config: ExperimentConfig) -> str:

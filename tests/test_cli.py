@@ -138,6 +138,15 @@ class TestRun:
         assert float(rows[0]["mean_ask_rate"]) == 1.0
         assert float(rows[1]["mean_ask_rate"]) == 0.0
 
+    def test_strategy_order_does_not_change_the_summary(self, config_path, tmp_path):
+        summaries = []
+        for order in (["no-oracle", "full-oracle"], ["full-oracle", "no-oracle"]):
+            out = tmp_path / "-".join(order)
+            argv = ["run", "--config", config_path, "--set", "seeds=0", "--out", str(out)]
+            assert main(argv + [arg for name in order for arg in ("--strategy", name)]) == 0
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_one_strategy_summary_carries_that_variants_header(self, config_path, tmp_path):
         out = tmp_path / "one"
         argv = ["run", "--config", config_path, "--strategy", "full-oracle", "--out", str(out)]
@@ -468,7 +477,7 @@ PINNED_PANELS = {
     "grid-nnflip": {
         "askrate.csv": "37eee9adf142",
         "curves.csv": "34ab9ee6daac",
-        "summary.csv": "2fc31af62294",
+        "summary.csv": "37eee9adf142",
         "soqal/results_0.csv": "9307cfc4a634",
         "soqal/results_1.csv": "df91e5bd577f",
         "entropy-response/results_0.csv": "1c6aee2276e9",
@@ -579,11 +588,11 @@ class TestSweep:
     def test_sweep_over_threshold(self, config_path, tmp_path):
         out = tmp_path / "sweep"
         code = main(
-            ["sweep", "--config", config_path, "--param", "S",
+            ["sweep", "--config", config_path, "--param", "strategy.S",
              "--values", "0.10,0.4", "--out", str(out)]
         )
         assert code == 0
-        assert (out / "sweep_S_0.10" / "results_0.csv").exists()
+        assert (out / "sweep_strategy.S_0.10" / "results_0.csv").exists()
         rows = read_table(out / "sweep_summary.csv")
         # The swept setting's column is spelled as in the `# cfg` lines.
         assert list(rows[0])[:2] == ["strategy", "strategy.S"]
@@ -598,7 +607,7 @@ class TestSweep:
 
     def test_one_value_sweep_names_the_value_in_its_header(self, config_path, tmp_path):
         out = tmp_path / "one"
-        assert main(["sweep", "--config", config_path, "--param", "S",
+        assert main(["sweep", "--config", config_path, "--param", "strategy.S",
                      "--values", "0.10", "--out", str(out)]) == 0
         rows = read_table(out / "sweep_summary.csv")
         assert [list(r)[:2] for r in rows] == [["strategy", "n_seeds"]]
@@ -609,7 +618,7 @@ class TestSweep:
     def test_threshold_grid_full_width(self, config_path, tmp_path):
         out = tmp_path / "seven"
         code = main(
-            ["sweep", "--config", config_path, "--param", "S",
+            ["sweep", "--config", config_path, "--param", "strategy.S",
              "--values", "0.1,0.125,0.15,0.175,0.2,0.3,0.4", "--out", str(out)]
         )
         assert code == 0
@@ -620,7 +629,7 @@ class TestSweep:
         cfg.write_text(TINY_CONFIG + "oracle.kind = random-flip\n")
         out = tmp_path / "gamma"
         code = main(
-            ["sweep", "--config", str(cfg), "--param", "gamma",
+            ["sweep", "--config", str(cfg), "--param", "oracle.gamma",
              "--values", "0.05,0.1,0.2,0.4,0.8", "--out", str(out)]
         )
         assert code == 0
@@ -630,7 +639,7 @@ class TestSweep:
     def test_init_labelled_fraction_sweep(self, config_path, tmp_path):
         out = tmp_path / "init"
         code = main(
-            ["sweep", "--config", config_path, "--param", "init_labelled_frac",
+            ["sweep", "--config", config_path, "--param", "active_learning.init_labelled_frac",
              "--values", "0.05,0.2", "--out", str(out)]
         )
         assert code == 0
@@ -643,25 +652,37 @@ class TestSweep:
     ):
         out = tmp_path / "same"
         code = main(
-            ["sweep", "--config", config_path, "--param", "S",
+            ["sweep", "--config", config_path, "--param", "strategy.S",
              "--values", "0.1,0.10", "--out", str(out)]
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert os.path.join(str(out), "sweep_S_0.1") + " and " in err
-        assert os.path.join(str(out), "sweep_S_0.10") + " would run the same config" in err
+        assert os.path.join(str(out), "sweep_strategy.S_0.1") + " and " in err
+        assert os.path.join(str(out), "sweep_strategy.S_0.10") + " would run the same config" in err
         assert not out.exists()
 
-    def test_non_sweepable_param_exits_one(self, config_path, tmp_path):
+    def test_unknown_key_exits_one_before_writing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "s"
         code = main(
-            ["sweep", "--config", config_path, "--param", "training.epochs",
-             "--values", "1,2", "--out", str(tmp_path / "s")]
+            ["sweep", "--config", config_path, "--param", "S",
+             "--values", "0.1,0.2", "--out", str(out)]
         )
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown key: S\n"
+        assert not out.exists()
+
+    def test_strategy_name_sweep_gives_a_row_per_strategy(self, config_path, tmp_path):
+        out = tmp_path / "names"
+        assert main(["sweep", "--config", config_path, "--param", "strategy.name",
+                     "--values", "full-oracle,no-oracle", "--out", str(out)]) == 0
+        assert (out / "sweep_strategy.name_no-oracle" / "results_0.csv").exists()
+        rows = read_table(out / "sweep_summary.csv")
+        assert [(r["strategy"], float(r["mean_ask_rate"])) for r in rows] == [
+            ("full-oracle", 1.0), ("no-oracle", 0.0)]
 
     def test_empty_values_exit_one(self, config_path, tmp_path):
         code = main(
-            ["sweep", "--config", config_path, "--param", "S", "--values", " ",
+            ["sweep", "--config", config_path, "--param", "strategy.S", "--values", " ",
              "--out", str(tmp_path / "s")]
         )
         assert code == 1
@@ -699,11 +720,27 @@ class TestReport:
 
     def test_threshold_sweep_gives_the_sweep_summary_rates(self, config_path, tmp_path):
         out = tmp_path / "sweep"
-        assert main(["sweep", "--config", config_path, "--param", "S",
-                     "--values", "0.05,0.4", "--out", str(out)]) == 0
+        # Typed in reverse: rows follow the values, not the command line.
+        assert main(["sweep", "--config", config_path, "--param", "strategy.S",
+                     "--values", "0.4,0.05", "--out", str(out)]) == 0
         assert main(["report", "--in", str(out)]) == 0
         assert [r["strategy.S"] for r in read_table(out / "askrate.csv")] == ["0.05", "0.4"]
         assert (out / "askrate.csv").read_bytes() == (out / "sweep_summary.csv").read_bytes()
+
+    def test_numeric_sweep_rows_sort_as_numbers_not_as_paths(self, config_path, tmp_path):
+        out = tmp_path / "sweep"  # sweep_..._10 sorts before sweep_..._5
+        assert main(["sweep", "--config", config_path, "--param", "active_learning.period",
+                     "--values", "10,5", "--out", str(out)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
+        assert [r["active_learning.period"] for r in read_table(out / "askrate.csv")] == ["5", "10"]
+        assert (out / "askrate.csv").read_bytes() == (out / "sweep_summary.csv").read_bytes()
+
+    def test_seeds_average_in_one_order_in_run_and_report(self, config_path, tmp_path):
+        out = tmp_path / "seeds"  # config order, path order and seed order all differ
+        assert main(["run", "--config", config_path, "--set", "seeds=12,2,7,1",
+                     "--out", str(out)]) == 0
+        assert main(["report", "--in", str(out)]) == 0
+        assert (out / "askrate.csv").read_bytes() == (out / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("cut", CUTS)
     def test_short_result_row_exits_one_naming_the_file(
