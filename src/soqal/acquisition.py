@@ -105,11 +105,20 @@ def mc_posteriors(
 
     Instance i draws its masks from one numpy PCG64 stream seeded by
     SeedSequence([seed, epoch, i]), so its masks do not depend on which
-    instances share its forward call.  Its rows may, by a few ulps: a BLAS
-    product can round a row differently with the call's row count, so the
-    bytes are reproducible for the fixed MC_BLOCK_ROWS.  The seeding of
-    every stream is computed at once (`stream_keys`); one generator is
-    re-pointed at each instance and fills its row of the block's uniforms.
+    instances share its forward call.  The seeding of every stream is
+    computed at once (`stream_keys`); one generator is re-pointed at each
+    instance and fills its row of the block's uniforms.
+
+    A pass computes only the class rows.  The first trunk layer runs once
+    per instance, on `per_block * T` distinct rows per call, and is then
+    repeated T times before its masks apply; the later layers and the
+    class head run on blocks of `per_block` instances, T rows each, and
+    the gate head is skipped.  Every call has `per_block * T` rows: short
+    calls are filled with zero feature rows and all-kept masks.  A BLAS
+    product may round a row differently with the row count of its call,
+    not with its call mates, so an instance's rows are the same bytes in
+    any id subset for the fixed MC_BLOCK_ROWS (not across block sizes or
+    BLAS builds).
     """
     ids = np.asarray(ids)
     if ids.size and not (0 <= ids.min() and ids.max() < MAX_ID):
@@ -119,24 +128,36 @@ def mc_posteriors(
     widths = [layer.weight.shape[0] for layer in net.trunk]
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    uniforms = np.empty((min(per_block, len(ids)), bounds[-1]))
+    call_rows = per_block * n_passes
+    uniforms = np.empty((per_block, bounds[-1]))
     bitgen = np.random.PCG64(0)
     draw = np.random.Generator(bitgen).random
+    stream = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     probs = np.empty((len(ids), n_passes, net.n_classes))
     for start in range(0, len(ids), per_block):
-        block = ids[start:start + per_block]
-        drawn = uniforms[:len(block)]
-        for row, (state, inc) in zip(drawn, keys[start:start + per_block]):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+        if start % call_rows == 0:  # one first-layer call serves T blocks
+            chunk = ids[start:start + call_rows]
+            inputs = np.zeros((call_rows, net.n_features))
+            inputs[:len(chunk)] = features[chunk]
+            first = net.trunk_layer(0, inputs)
+        count = min(per_block, len(ids) - start)
+        for row, (stream["state"], stream["inc"]) in zip(uniforms, keys[start:start + count]):
+            bitgen.state = bitgen_state
             draw(out=row)
-        kept = drawn >= net.dropout_rate
-        masks = [
-            kept[:, lo:hi].astype(np.float64).reshape(-1, width)
+        uniforms[count:] = 1.0
+        kept = uniforms >= net.dropout_rate
+        masks = [  # bool: `h *= mask` casts it to the exact 0.0 and 1.0 of make_masks
+            kept[:, lo:hi].reshape(-1, width)
             for lo, hi, width in zip(bounds, bounds[1:], widths)
         ]
-        rows, _, _ = net.forward_batch(np.repeat(features[block], n_passes, axis=0), masks)
-        probs[start:start + len(block)] = rows.reshape(-1, n_passes, net.n_classes)
+        offset = start % call_rows
+        h = np.repeat(first[offset:offset + per_block], n_passes, axis=0)
+        net.drop(h, masks[0])
+        for idx in range(1, len(widths)):
+            h = net.trunk_layer(idx, h, masks[idx])
+        rows = net.class_probs(h)[:count * n_passes]
+        probs[start:start + count] = rows.reshape(count, n_passes, net.n_classes)
     if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
         raise ValueError("posterior rows must sum to 1")
     return probs

@@ -20,6 +20,7 @@ batch-mean gradient with plain SGD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -29,12 +30,25 @@ PROB_FLOOR = 1e-12  # clamp applied to every probability before a log
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0, else exp(z) / (1 + exp(z)): exp never
+    overflows.  `minimum(z, -z)` is -|z| that keeps a NaN's sign bit."""
+    ez = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row, in place on (B, C) logits, which it returns.
+
+    The row max is taken column by column, which for small C is several
+    times faster than `max(axis=1)`.  Both give the same maximum, up to the
+    sign of a zero (which the exp erases) or of a NaN.  The sum stays
+    `sum(axis=1)`: numpy sums eight or more columns pairwise, so a
+    column-wise sum would round differently.
+    """
+    logits -= reduce(np.maximum, logits.T)[:, None]
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def clamp_probs(p: np.ndarray | float) -> np.ndarray | float:
@@ -115,6 +129,28 @@ class Network:
                 masks.append((rng.random(shape) >= self.dropout_rate).astype(np.float64))
         return masks
 
+    def trunk_layer(self, idx: int, h: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """Trunk layer `idx` on (B, in) rows: affine, rectifier and, with a
+        mask, dropout, all in place on the matmul's output."""
+        layer = self.trunk[idx]
+        out = h @ layer.weight.T
+        out += layer.bias
+        np.maximum(out, 0.0, out=out)
+        if mask is not None:
+            self.drop(out, mask)
+        return out
+
+    def drop(self, h: np.ndarray, mask: np.ndarray) -> None:
+        """Inverted dropout in place: zero the dropped units, scale the kept."""
+        h *= mask
+        h /= 1.0 - self.dropout_rate
+
+    def class_probs(self, top: np.ndarray) -> np.ndarray:
+        """Softmax rows of the class head on (B, width) top-layer rows."""
+        logits = top @ self.class_head.weight.T
+        logits += self.class_head.bias
+        return softmax(logits)
+
     def forward_batch(
         self, inputs: np.ndarray, masks: list[np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -131,22 +167,12 @@ class Network:
             raise ConfigError(
                 f"expected inputs of shape (B, {self.n_features}), got {x.shape}"
             )
-        keep = 1.0 - self.dropout_rate
         activations = [x]
         h = x
-        for idx, layer in enumerate(self.trunk):
-            h = h @ layer.weight.T
-            h += layer.bias
-            np.maximum(h, 0.0, out=h)
-            if masks is not None:
-                h *= masks[idx]
-                h /= keep
+        for idx in range(len(self.trunk)):
+            h = self.trunk_layer(idx, h, None if masks is None else masks[idx])
             activations.append(h)
-        class_probs = h @ self.class_head.weight.T
-        class_probs += self.class_head.bias
-        class_probs -= class_probs.max(axis=1, keepdims=True)
-        np.exp(class_probs, out=class_probs)
-        class_probs /= class_probs.sum(axis=1, keepdims=True)
+        class_probs = self.class_probs(h)
         gate = sigmoid((h @ self.gate_head.weight.T + self.gate_head.bias)[:, 0])
         cache = {"activations": activations, "masks": masks,
                  "class_probs": class_probs, "gate": gate}

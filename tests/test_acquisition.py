@@ -69,6 +69,10 @@ class TestMcPosteriors:
         b = mc_posteriors(net, features, [4], n_passes=20, seed=1, epoch=2)
         assert not np.array_equal(a, b)
 
+    def test_empty_id_list_gives_an_empty_stack(self):
+        probs = mc_posteriors(make_net(0.4), np.ones((2, 3)), [], n_passes=7, seed=1, epoch=0)
+        assert probs.shape == (0, 7, 4)
+
     @pytest.mark.parametrize("bad_id", [-1, 2**32])
     def test_id_outside_uint32_rejected(self, bad_id):
         # A wrapped id would silently key another instance's stream.
@@ -115,7 +119,7 @@ class TestPosteriors:
     def test_rows_must_sum_to_one(self, monkeypatch):
         net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
         rows = np.array([[0.5, 0.5], [0.5, 0.4]])
-        monkeypatch.setattr(net, "forward_batch", lambda *args: (rows, None, None))
+        monkeypatch.setattr(net, "class_probs", lambda top: rows)
         with pytest.raises(ValueError, match="sum to 1"):
             mc_posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
@@ -123,6 +127,7 @@ class TestPosteriors:
 PASSES = 20
 BLOCK = acquisition.MC_BLOCK_ROWS // PASSES  # instances per forward call
 MAX_ULPS = 256  # largest seen at hidden 32,32: 32 (OpenBLAS 0.3.31)
+POOL = acquisition.MC_BLOCK_ROWS + 2 * BLOCK + 3  # instances: two first-layer calls
 
 
 def pool_net(dropout):
@@ -160,16 +165,53 @@ class TestBlockedForward:
     )
     def test_shipped_width_rows_stay_within_ulps_of_the_pool_rows(self, order, size, block_rows):
         # At hidden 32,32 the BLAS product may round a row differently with
-        # the row count of its call (OpenBLAS 0.3.31 does), so only the masks
-        # and the bytes at the fixed MC_BLOCK_ROWS are exact.  A wrong mask or
-        # row moves a probability by many orders of magnitude more.
+        # the row count of its call (OpenBLAS 0.3.31 does), so rows are exact
+        # only at the fixed MC_BLOCK_ROWS.  A wrong mask or row moves a
+        # probability by many orders of magnitude more than the ulp bound.
         net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
         xs = np.random.default_rng(0).standard_normal((2 * BLOCK + 3, 5))
         full = mc_posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
         ids = order[:size]
         with mock.patch.object(acquisition, "MC_BLOCK_ROWS", block_rows):
             rows = mc_posteriors(net, xs, ids, PASSES, 3, 1)
-        np.testing.assert_array_max_ulp(rows, full[ids], maxulp=MAX_ULPS)
+        if block_rows == acquisition.MC_BLOCK_ROWS:
+            np.testing.assert_array_equal(rows, full[ids])
+        else:
+            np.testing.assert_array_max_ulp(rows, full[ids], maxulp=MAX_ULPS)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.permutations(range(POOL)), st.integers(1, POOL))
+    def test_shipped_width_rows_equal_the_pool_rows(self, order, size):
+        # The pool spans two first-layer calls, so a subset's instances meet
+        # other call mates, positions and zero padding in every layer.
+        net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
+        xs = np.random.default_rng(1).standard_normal((POOL, 5))
+        full = mc_posteriors(net, xs, np.arange(POOL), PASSES, 3, 1)
+        ids = order[:size]
+        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
+
+    @pytest.mark.parametrize("hidden", [[32, 32], [256, 256]])
+    @pytest.mark.parametrize("n", [1, BLOCK - 5, BLOCK])
+    def test_class_rows_equal_forward_batch_on_the_padded_block(self, hidden, n):
+        # forward_batch runs the first layer on the T repeated rows of each
+        # instance; the MC pass runs it once per instance, then repeats it.
+        net = Network.initialize(5, 3, hidden, dropout_rate=0.4, seed=4)
+        xs = np.random.default_rng(n).standard_normal((n, 5))
+        padded = np.zeros((BLOCK, 5))
+        padded[:n] = xs
+        instance_masks = [
+            net.make_masks(PASSES, np.random.default_rng(np.random.SeedSequence([7, 5, i])))
+            for i in range(n)
+        ]
+        block_masks = [
+            np.concatenate([m[k] for m in instance_masks] + [np.ones(((BLOCK - n) * PASSES, w))])
+            for k, w in enumerate(hidden)
+        ]
+        expected, _, _ = net.forward_batch(np.repeat(padded, PASSES, axis=0), block_masks)
+        np.testing.assert_array_equal(
+            mc_posteriors(net, xs, np.arange(n), PASSES, 7, 5),
+            expected[: n * PASSES].reshape(n, PASSES, 3),
+        )
 
 
 class TestBaldMcd:

@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
-from soqal.network import Network, compute_beta, loss_terms, train_epoch
+from soqal.network import (
+    Network,
+    compute_beta,
+    loss_terms,
+    sigmoid,
+    softmax,
+    train_epoch,
+)
 
 
 def total_loss(*args):
@@ -174,6 +181,66 @@ class TestInPlace:
         assert len(grads) == len(want)
         for got, ref in zip(grads, want):
             np.testing.assert_array_equal(got, ref)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0])
+
+
+def special_array(shape, seed, special_frac):
+    """Normal values over many scales, with a share of signed zeros,
+    infinities, NaNs of both signs and values at exp's range limits."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    special = rng.random(shape) < special_frac
+    values[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return values
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def same_bits_but_nan_sign(a, b):
+    """Bit-equal, except that a NaN may carry either sign: in a row holding
+    NaNs of both signs, which one a max returns depends on its order."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
+
+
+class TestElementwiseFormulations:
+    """The column-wise softmax max and the branch-free sigmoid give the bits
+    of the formulations they replaced, which serve as oracles here."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 5000), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @example(5000, 12, 0, 0.5)
+    @example(1, 1, 0, 1.0)
+    def test_softmax_matches_row_max_oracle(self, rows, cols, seed, special_frac):
+        def row_max_softmax(logits):
+            out = logits - logits.max(axis=1, keepdims=True)
+            np.exp(out, out=out)
+            out /= out.sum(axis=1, keepdims=True)
+            return out
+
+        logits = special_array((rows, cols), seed, special_frac)
+        one_nan = np.where(np.isnan(logits), np.nan, logits)
+        with np.errstate(invalid="ignore"):
+            assert same_bits_but_nan_sign(softmax(logits.copy()), row_max_softmax(logits))
+            assert same_bits(softmax(one_nan.copy()), row_max_softmax(one_nan))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @example(5000, 0, 0.5)
+    def test_sigmoid_matches_boolean_index_oracle(self, size, seed, special_frac):
+        z = special_array(size, seed, special_frac)
+        expected = np.empty_like(z)
+        pos = z >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        assert same_bits(sigmoid(z), expected)
 
 
 class TestBatch:
