@@ -92,6 +92,26 @@ def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> list[tuple[int, int]]
     return keys
 
 
+def padded_calls(fn, rows: np.ndarray, call_rows: int) -> np.ndarray:
+    """`fn`'s output rows for (N, m) `rows`, from calls of exactly `call_rows`
+    rows each.  The rows are filled up with zero rows to a whole number of
+    calls, at least one, and the output keeps the padding rows.
+
+    A BLAS product may round a row differently with the row count of its
+    call, not with its call mates, so a row's output is then the same bytes
+    whatever other rows, and however many, are passed with it.
+    """
+    padded = np.zeros((max(1, math.ceil(len(rows) / call_rows)) * call_rows, rows.shape[1]))
+    padded[:len(rows)] = rows
+    return np.concatenate([fn(padded[i:i + call_rows]) for i in range(0, len(padded), call_rows)])
+
+
+def gate_values(net: Network, rows: np.ndarray) -> np.ndarray:
+    """Deterministic-pass gate outputs (N,) of (N, m) rows, from padded calls
+    of MC_BLOCK_ROWS rows: a row's value does not depend on N."""
+    return padded_calls(lambda x: net.forward_batch(x)[1], rows, MC_BLOCK_ROWS)[:len(rows)]
+
+
 def mc_posteriors(
     net: Network,
     features: np.ndarray,
@@ -110,15 +130,13 @@ def mc_posteriors(
     instance and fills its row of the block's uniforms.
 
     A pass computes only the class rows.  The first trunk layer runs once
-    per instance, on `per_block * T` distinct rows per call, and is then
-    repeated T times before its masks apply; the later layers and the
-    class head run on blocks of `per_block` instances, T rows each, and
-    the gate head is skipped.  Every call has `per_block * T` rows: short
-    calls are filled with zero feature rows and all-kept masks.  A BLAS
-    product may round a row differently with the row count of its call,
-    not with its call mates, so an instance's rows are the same bytes in
-    any id subset for the fixed MC_BLOCK_ROWS (not across block sizes or
-    BLAS builds).
+    per instance, through `padded_calls` with `per_block * T` rows per call,
+    and is then repeated T times before its masks apply; the later layers
+    and the class head run on blocks of `per_block` instances, T rows each,
+    and the gate head is skipped.  Every call has `per_block * T` rows:
+    short calls are filled with zero feature rows and all-kept masks.  So
+    an instance's rows are the same bytes in any id subset for the fixed
+    MC_BLOCK_ROWS (not across block sizes or BLAS builds).
     """
     ids = np.asarray(ids)
     if ids.size and not (0 <= ids.min() and ids.max() < MAX_ID):
@@ -128,19 +146,14 @@ def mc_posteriors(
     widths = [layer.weight.shape[0] for layer in net.trunk]
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    call_rows = per_block * n_passes
     uniforms = np.empty((per_block, bounds[-1]))
     bitgen = np.random.PCG64(0)
     draw = np.random.Generator(bitgen).random
     stream = {"state": 0, "inc": 0}
     bitgen_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     probs = np.empty((len(ids), n_passes, net.n_classes))
+    first = padded_calls(lambda x: net.trunk_layer(0, x), features[ids], per_block * n_passes)
     for start in range(0, len(ids), per_block):
-        if start % call_rows == 0:  # one first-layer call serves T blocks
-            chunk = ids[start:start + call_rows]
-            inputs = np.zeros((call_rows, net.n_features))
-            inputs[:len(chunk)] = features[chunk]
-            first = net.trunk_layer(0, inputs)
         count = min(per_block, len(ids) - start)
         for row, (stream["state"], stream["inc"]) in zip(uniforms, keys[start:start + count]):
             bitgen.state = bitgen_state
@@ -151,8 +164,7 @@ def mc_posteriors(
             kept[:, lo:hi].reshape(-1, width)
             for lo, hi, width in zip(bounds, bounds[1:], widths)
         ]
-        offset = start % call_rows
-        h = np.repeat(first[offset:offset + per_block], n_passes, axis=0)
+        h = np.repeat(first[start:start + per_block], n_passes, axis=0)
         net.drop(h, masks[0])
         for idx in range(1, len(widths)):
             h = net.trunk_layer(idx, h, masks[idx])

@@ -22,6 +22,7 @@ from .config import (
     load_config,
     settings,
     validate,
+    value_separator,
 )
 from .engine import run_experiment
 from .errors import ConfigError, DataLoadError, SoqalError
@@ -192,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    values = [v.strip() for v in args.values.split(value_separator(args.param)) if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
     config = _prepare(args, [])
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run the seed grid per parameter value")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--param", required=True)
-    sweep_p.add_argument("--values", required=True, metavar="CSVLIST")
+    sweep_p.add_argument("--values", required=True, metavar="CSVLIST",
+                         help="split on ';' for list-valued keys such as network.hidden")
     sweep_p.add_argument("--jobs", type=int, default=1)
     sweep_p.add_argument("--out")
     sweep_p.set_defaults(func=cmd_sweep)

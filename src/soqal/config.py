@@ -126,6 +126,11 @@ def _key_table() -> dict[str, tuple]:
 _KNOWN_KEYS = _key_table()
 
 
+def value_separator(key: str) -> str:
+    """What separates a list of `key`'s values: `;` where a value is a list itself."""
+    return ";" if key in _KNOWN_KEYS and _KNOWN_KEYS[key][2] is _parse_int_list else ","
+
+
 def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
     """Return a new config with one dotted key set from its string form."""
     if key not in _KNOWN_KEYS:

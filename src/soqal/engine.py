@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acquisition import bald_mcd, mc_posteriors, predictive_entropy, select_top_b
+from .acquisition import bald_mcd, gate_values, mc_posteriors, predictive_entropy, select_top_b
 from .config import ExperimentConfig, validate
 from .data import Dataset, gen_synthetic, load_csv, split, standardize
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError
 from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
 from .metrics import auc_ovr
 from .network import Network, train_epoch
@@ -50,7 +50,6 @@ class EpochRecord:
 @dataclass(frozen=True)
 class AcquisitionRecord:
     epoch: int
-    acquisition_index: int
     instance_id: int
     source: str  # "oracle" | "self"
     assigned_label: int
@@ -67,9 +66,10 @@ class ResultLog:
 
 
 def ask_rate(log: ResultLog) -> float:
-    """Fraction of acquired instances whose labels came from the oracle."""
+    """Fraction of acquired instances whose labels came from the oracle; nan
+    before any acquisition."""
     if not log.acquisitions:
-        raise UndefinedMetricError("no acquisitions occurred")
+        return float("nan")
     return sum(a.source == "oracle" for a in log.acquisitions) / len(log.acquisitions)
 
 
@@ -78,15 +78,6 @@ def _build_dataset(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
     if d.source == "csv":
         return load_csv(d.csv_path, d.label_column)
     return gen_synthetic(d.kind, d.n, d.classes, d.features, d.separation, seed_seq)
-
-
-def _auc(net: Network, rows: np.ndarray, labels: np.ndarray) -> float:
-    """AUC of the deterministic forward on `rows`; nan where it is undefined."""
-    probs, _, _ = net.forward_batch(rows)
-    try:
-        return auc_ovr(probs, labels)
-    except UndefinedMetricError:
-        return float("nan")
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
@@ -142,7 +133,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
         e_flags = (lab_probs.argmax(axis=1) != y_lab).astype(np.int64)
         gate_stats = fit_conditional_gaussians(lab_gate, e_flags)
 
-        val_auc = _auc(net, features[parts.val], dataset.labels[parts.val])
+        val_auc = auc_ovr(net.forward_batch(features[parts.val])[0], dataset.labels[parts.val])
 
         if epoch % al.period == 0 and al.b_frac > 0.0 and unlabelled.any():
             picked, labels = _acquire(
@@ -158,7 +149,6 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
                 log.acquisitions.append(
                     AcquisitionRecord(
                         epoch=epoch,
-                        acquisition_index=epoch // al.period - 1,
                         instance_id=instance_id,
                         source="oracle" if asked else "self",
                         assigned_label=int(label),
@@ -186,7 +176,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
         if not unlabelled.any():
             break
 
-    log.test_auc = _auc(net, features[parts.test], dataset.labels[parts.test])
+    log.test_auc = auc_ovr(net.forward_batch(features[parts.test])[0], dataset.labels[parts.test])
     return log
 
 
@@ -219,9 +209,8 @@ def _acquire(
         probs = probs[rows]
     picked = candidates[rows].tolist()
 
-    _, gate_det, _ = net.forward_batch(features[picked])
     labels = decide(
-        config.strategy, epoch // al.period - 1, gate_stats, gate_det, probs.mean(axis=1),
-        decision_rng,
+        config.strategy, epoch // al.period - 1, gate_stats, gate_values(net, features[picked]),
+        probs.mean(axis=1), decision_rng,
     )
     return picked, labels

@@ -11,7 +11,3 @@ class ConfigError(SoqalError):
 
 class DataLoadError(SoqalError):
     """A dataset file could not be parsed; the message names the position."""
-
-
-class UndefinedMetricError(SoqalError):
-    """A metric was requested on inputs for which it has no defined value."""

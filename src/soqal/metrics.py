@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UndefinedMetricError
-
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """`np.unique(values)` for NaN-free values, without its numpy.ma import."""
@@ -26,13 +24,13 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def auc_binary(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Rank-statistic AUC of `scores` for the boolean positive mask."""
+    """Rank-statistic AUC of `scores` for the boolean mask; nan if a side is empty."""
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("binary AUC needs both classes present")
+        return float("nan")
     ranks = _midranks(scores)
     rank_sum = float(ranks[positives].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -42,7 +40,7 @@ def auc_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
     """Unweighted mean of per-class one-vs-rest AUCs over classes present.
 
     `scores` holds one row of class scores per instance.  Classes absent
-    from `labels` are skipped; fewer than two present classes is an error.
+    from `labels` are skipped; fewer than two present classes give nan.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -50,6 +48,6 @@ def auc_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("scores must be (N, C) aligned with labels")
     present = sorted_unique(labels)
     if len(present) < 2:
-        raise UndefinedMetricError("one-vs-rest AUC needs >= 2 classes present")
+        return float("nan")
     per_class = [auc_binary(scores[:, int(c)], labels == c) for c in present]
     return float(np.mean(per_class))

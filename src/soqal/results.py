@@ -23,7 +23,7 @@ from itertools import zip_longest
 from . import __version__
 from .config import ExperimentConfig, canonical_lines, lines_hash, parse_config_text
 from .engine import EpochRecord, ResultLog, ask_rate
-from .errors import ConfigError, DataLoadError, UndefinedMetricError
+from .errors import ConfigError, DataLoadError
 
 RESULT_COLUMNS = [
     "seed",
@@ -78,12 +78,8 @@ def _result_table(
 
 def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> None:
     """Write one run's log as a provenance-commented result table."""
-    try:
-        final_rate = ask_rate(log)
-    except UndefinedMetricError:
-        final_rate = float("nan")
     _, comments, rows = _result_table(
-        config, log.seed, log.epochs, log.test_auc, final_rate, log.stratified_split
+        config, log.seed, log.epochs, log.test_auc, ask_rate(log), log.stratified_split
     )
     write_table(path, RESULT_COLUMNS, rows, comments)
 

@@ -12,16 +12,20 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.stats import norm
 
+from math_oracles import (
+    concordance_auc,
+    hellinger_by_quadrature,
+    monte_carlo_bayes_error,
+    numeric_grads,
+)
 from soqal.cli import main
 from soqal.config import ExperimentConfig, config_hash
 from soqal.engine import ask_rate, run_experiment
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.acquisition import bald_mcd
 from soqal.metrics import auc_binary
-from soqal.network import Network, loss_terms
+from soqal.network import Network
 
 _SUITE_START = time.monotonic()
 _RUN_CACHE: dict[tuple[str, int], object] = {}
@@ -75,26 +79,6 @@ def seed_mean(config, metric):
 # --- criterion 1: math oracle suite -------------------------------------
 
 
-def hellinger_quadrature(mu0, var0, mu1, var1):
-    s0, s1 = math.sqrt(var0), math.sqrt(var1)
-
-    def integrand(x):
-        return math.sqrt(norm.pdf(x, mu0, s0) * norm.pdf(x, mu1, s1))
-
-    lo = min(mu0 - 40 * s0, mu1 - 40 * s1)
-    hi = max(mu0 + 40 * s0, mu1 + 40 * s1)
-    bc, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12)
-    return math.sqrt(max(0.0, 1.0 - bc))
-
-
-def concordance_auc(scores, positives):
-    pos = scores[positives]
-    neg = scores[~positives]
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (wins + 0.5 * ties) / (len(pos) * len(neg))
-
-
 def test_criterion_1_math_oracles():
     with criterion(1, "hellinger/bald/auc vs independent oracles", limit_s=10):
         rng = np.random.default_rng(101)
@@ -102,7 +86,7 @@ def test_criterion_1_math_oracles():
             mu0, mu1 = rng.uniform(0, 1, size=2)
             var0, var1 = rng.uniform(1e-4, 0.2, size=2)
             closed = hellinger(mu0, var0, mu1, var1)
-            assert abs(closed - hellinger_quadrature(mu0, var0, mu1, var1)) < 1e-6
+            assert abs(closed - hellinger_by_quadrature(mu0, var0, mu1, var1)) < 1e-6
 
         for _ in range(50):
             t = int(rng.integers(2, 40))
@@ -127,26 +111,6 @@ def test_criterion_1_math_oracles():
 
 
 # --- criterion 2: gradient check -----------------------------------------
-
-
-def numeric_grads(net, x, targets, errors, beta, masks, step=1e-5):
-    grads = []
-    for arr in net.parameters():
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            probs, gate, _ = net.forward_batch(x, masks)
-            up = sum(loss_terms(probs, gate, targets, errors, beta))
-            arr[idx] = orig - step
-            probs, gate, _ = net.forward_batch(x, masks)
-            down = sum(loss_terms(probs, gate, targets, errors, beta))
-            arr[idx] = orig
-            grad[idx] = (up - down) / (2.0 * step)
-        grads.append(grad)
-    return grads
 
 
 def test_criterion_2_gradient_check():
@@ -177,20 +141,6 @@ def test_criterion_2_gradient_check():
 
 
 # --- criterion 3: Chernoff validity ---------------------------------------
-
-
-def monte_carlo_bayes_error(stats, n, rng):
-    classes = (rng.random(n) < stats.prior1).astype(int)
-    draws = np.where(
-        classes == 1,
-        rng.normal(stats.mu1, math.sqrt(stats.var1), size=n),
-        rng.normal(stats.mu0, math.sqrt(stats.var0), size=n),
-    )
-    lp1 = math.log(stats.prior1) + norm.logpdf(draws, stats.mu1, math.sqrt(stats.var1))
-    lp0 = math.log(stats.prior0) + norm.logpdf(draws, stats.mu0, math.sqrt(stats.var0))
-    wrong = (lp1 > lp0).astype(int) != classes
-    rate = float(wrong.mean())
-    return rate, math.sqrt(rate * (1.0 - rate) / n)
 
 
 def test_criterion_3_chernoff_validity():

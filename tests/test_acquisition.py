@@ -10,6 +10,7 @@ from scipy.stats import entropy as scipy_entropy
 from soqal import acquisition
 from soqal.acquisition import (
     bald_mcd,
+    gate_values,
     mc_posteriors,
     predictive_entropy,
     select_top_b,
@@ -212,6 +213,31 @@ class TestBlockedForward:
             mc_posteriors(net, xs, np.arange(n), PASSES, 7, 5),
             expected[: n * PASSES].reshape(n, PASSES, 3),
         )
+
+
+class TestGateValues:
+    def test_first_k_rows_equal_the_rows_of_one_full_call(self):
+        # OpenBLAS 0.3.31 rounds rows of a short call (k <= 32 at hidden
+        # 32,32) differently from the same rows in a 320-row call; padding
+        # every call to MC_BLOCK_ROWS rows makes a pick's gate value a
+        # function of its own row.
+        net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
+        rows = np.random.default_rng(2).standard_normal((acquisition.MC_BLOCK_ROWS, 5))
+        _, full, _ = net.forward_batch(rows)
+        for k in range(1, 41):
+            np.testing.assert_array_equal(gate_values(net, rows[:k]), full[:k], err_msg=f"k={k}")
+
+    def test_rows_of_several_calls_and_no_rows(self):
+        net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
+        rows = np.random.default_rng(3).standard_normal((2 * acquisition.MC_BLOCK_ROWS + 5, 5))
+        _, full, _ = net.forward_batch(rows[: acquisition.MC_BLOCK_ROWS])
+        values = gate_values(net, rows)
+        assert values.shape == (len(rows),)
+        np.testing.assert_array_equal(values[: acquisition.MC_BLOCK_ROWS], full)
+        np.testing.assert_array_equal(
+            values[acquisition.MC_BLOCK_ROWS:], gate_values(net, rows[acquisition.MC_BLOCK_ROWS:])
+        )
+        assert gate_values(net, rows[:0]).shape == (0,)
 
 
 class TestBaldMcd:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import hashlib
 import importlib.util
 import os
@@ -679,6 +680,15 @@ class TestSweep:
         rows = read_table(out / "sweep_summary.csv")
         assert [(r["strategy"], float(r["mean_ask_rate"])) for r in rows] == [
             ("full-oracle", 1.0), ("no-oracle", 0.0)]
+
+    def test_list_valued_key_sweeps_values_separated_by_semicolons(self, config_path, tmp_path):
+        out = tmp_path / "hidden"
+        assert main(["sweep", "--config", config_path, "--param", "network.hidden",
+                     "--values", "32,32; 16,32", "--out", str(out)]) == 0
+        assert (out / "sweep_network.hidden_16,32" / "results_0.csv").exists()
+        with open(out / "sweep_summary.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [r["network.hidden"] for r in rows] == ["16,32", "32,32"]
 
     def test_empty_values_exit_one(self, config_path, tmp_path):
         code = main(

@@ -10,13 +10,13 @@ from soqal.config import ExperimentConfig
 from soqal.data import split
 from soqal.engine import (
     AcquisitionRecord,
-    EpochRecord,
     ResultLog,
     ask_rate,
     run_experiment,
 )
-from soqal.errors import ConfigError, UndefinedMetricError
+from soqal.errors import ConfigError
 from soqal.oracle import pca_project
+from soqal.strategy import decide
 
 
 def tiny_config(strategy_name="full-oracle", epochs=20, **overrides):
@@ -55,7 +55,6 @@ def fabricated_log(n_oracle, n_self):
         log.acquisitions.append(
             AcquisitionRecord(
                 epoch=5,
-                acquisition_index=0,
                 instance_id=i,
                 source="oracle" if i < n_oracle else "self",
                 assigned_label=0,
@@ -73,9 +72,8 @@ class TestAskRate:
         assert ask_rate(fabricated_log(5, 0)) == 1.0
         assert ask_rate(fabricated_log(0, 5)) == 0.0
 
-    def test_zero_acquisitions_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            ask_rate(ResultLog(seed=0))
+    def test_zero_acquisitions_is_nan(self):
+        assert np.isnan(ask_rate(ResultLog(seed=0)))
 
 
 class TestRunExperiment:
@@ -93,11 +91,17 @@ class TestRunExperiment:
         assert all(r.source == "self" for r in log.acquisitions)
         assert ask_rate(log) == 0.0
 
-    def test_acquisition_epochs_are_period_multiples(self):
+    def test_acquisition_epochs_are_period_multiples(self, monkeypatch):
+        indices = []  # the event index each `decide` call receives
+
+        def recording_decide(strategy, acquisition_index, *rest):
+            indices.append(acquisition_index)
+            return decide(strategy, acquisition_index, *rest)
+
+        monkeypatch.setattr(soqal.engine, "decide", recording_decide)
         log = run_experiment(tiny_config("full-oracle", epochs=20), seed=1)
         assert sorted({r.epoch for r in log.acquisitions}) == [5, 10, 15, 20]
-        indices = {r.epoch: r.acquisition_index for r in log.acquisitions}
-        assert indices == {5: 0, 10: 1, 15: 2, 20: 3}
+        assert indices == [0, 1, 2, 3]
 
     def test_rerun_bit_identical(self):
         cfg = tiny_config("epsilon-greedy", epochs=15)
@@ -146,8 +150,7 @@ class TestRunExperiment:
         assert not log.acquisitions
         assert len(log.epochs) == 12
         assert all(r.cum_ask_rate == 0.0 for r in log.epochs)
-        with pytest.raises(UndefinedMetricError):
-            ask_rate(log)
+        assert np.isnan(ask_rate(log))
 
     def test_pool_exhaustion_ends_run_early(self):
         cfg = tiny_config(
@@ -168,7 +171,7 @@ class TestRunExperiment:
         cfg = tiny_config("epsilon-greedy", epochs=5,
                           strategy={"epsilon0": 1.0, "epsilon_decay": 0.001})
         log = run_experiment(cfg, seed=11)
-        first = [r for r in log.acquisitions if r.acquisition_index == 0]
+        first = [r for r in log.acquisitions if r.epoch == cfg.active_learning.period]
         assert first and all(r.source == "oracle" for r in first)
 
     def test_noisy_oracle_flips_recorded_labels(self):

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from math_oracles import hellinger_by_quadrature, monte_carlo_bayes_error
 from soqal.gate import (
     VAR_FLOOR,
     ChernoffResult,
@@ -15,19 +16,6 @@ from soqal.gate import (
     fit_conditional_gaussians,
     hellinger,
 )
-
-
-def hellinger_by_quadrature(mu0, var0, mu1, var1):
-    """Independent oracle: D_H = sqrt(1 - integral of sqrt(f0 * f1))."""
-    s0, s1 = math.sqrt(var0), math.sqrt(var1)
-
-    def integrand(x):
-        return math.sqrt(norm.pdf(x, mu0, s0) * norm.pdf(x, mu1, s1))
-
-    lo = min(mu0 - 40 * s0, mu1 - 40 * s1)
-    hi = max(mu0 + 40 * s0, mu1 + 40 * s1)
-    coefficient, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-12)
-    return math.sqrt(max(0.0, 1.0 - coefficient))
 
 
 def random_stats(rng, min_prior=0.1):
@@ -156,21 +144,6 @@ class TestDecideAsk:
         assert decide_ask(0.5, stats, threshold=0.0) is True
 
 
-def mc_bayes_error(stats: GateStats, n: int, rng) -> tuple[float, float]:
-    """Monte-Carlo Bayes error of the prior-weighted two-Gaussian mixture."""
-    classes = (rng.random(n) < stats.prior1).astype(int)
-    draws = np.where(
-        classes == 1,
-        rng.normal(stats.mu1, math.sqrt(stats.var1), size=n),
-        rng.normal(stats.mu0, math.sqrt(stats.var0), size=n),
-    )
-    lp1 = math.log(stats.prior1) + norm.logpdf(draws, stats.mu1, math.sqrt(stats.var1))
-    lp0 = math.log(stats.prior0) + norm.logpdf(draws, stats.mu0, math.sqrt(stats.var0))
-    errors = (lp1 > lp0).astype(int) != classes
-    rate = float(errors.mean())
-    return rate, math.sqrt(rate * (1.0 - rate) / n)
-
-
 class TestChernoffBound:
     def test_indistinguishable_classes(self):
         stats = GateStats(0.5, 0.02, 0.5, 0.02, 0.5, 0.5, 0.0, True)
@@ -224,7 +197,7 @@ class TestChernoffBound:
         for _ in range(10):
             stats = random_stats(rng)
             result = chernoff_bound(stats)
-            error, se = mc_bayes_error(stats, 100_000, rng)
+            error, se = monte_carlo_bayes_error(stats, 100_000, rng)
             assert result.bound >= error - 3.0 * se, (
                 f"bound {result.bound:.4f} below Bayes error {error:.4f} "
                 f"(se {se:.4f}) for {stats}"

@@ -1,22 +1,8 @@
 import numpy as np
 import pytest
 
-from soqal.errors import UndefinedMetricError
+from math_oracles import concordance_auc
 from soqal.metrics import auc_binary, auc_ovr
-
-
-def concordance_auc(scores, positives):
-    """Oracle: pairwise concordance count with half credit for ties."""
-    pos = [s for s, p in zip(scores, positives) if p]
-    neg = [s for s, p in zip(scores, positives) if not p]
-    total = 0.0
-    for sp in pos:
-        for sn in neg:
-            if sp > sn:
-                total += 1.0
-            elif sp == sn:
-                total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 class TestAucBinary:
@@ -45,9 +31,9 @@ class TestAucBinary:
                 concordance_auc(scores, positives), abs=1e-12
             )
 
-    def test_single_class_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            auc_binary(np.array([0.1, 0.9]), np.array([True, True]))
+    def test_single_class_is_nan(self):
+        assert np.isnan(auc_binary(np.array([0.1, 0.9]), np.array([True, True])))
+        assert np.isnan(auc_binary(np.array([0.1, 0.9]), np.array([False, False])))
 
 
 class TestAucOvr:
@@ -76,9 +62,9 @@ class TestAucOvr:
         )
         assert auc_ovr(scores, labels) == pytest.approx(expected, abs=1e-12)
 
-    def test_fewer_than_two_classes_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            auc_ovr(np.array([[0.5, 0.5], [0.4, 0.6]]), np.array([1, 1]))
+    def test_fewer_than_two_classes_is_nan(self):
+        assert np.isnan(auc_ovr(np.array([[0.5, 0.5], [0.4, 0.6]]), np.array([1, 1])))
+        assert np.isnan(auc_ovr(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     def test_result_in_unit_interval(self):
         rng = np.random.default_rng(32)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from math_oracles import numeric_grads
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
 from soqal.network import (
@@ -335,26 +336,6 @@ class TestJointLoss:
                        np.array([0.0]), -1.0)
 
 
-def _numeric_grads(net, x, targets, errors, beta, masks, step=1e-5):
-    grads = []
-    for arr in net.parameters():
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            probs, gate, _ = net.forward_batch(x, masks)
-            up = total_loss(probs, gate, targets, errors, beta)
-            arr[idx] = orig - step
-            probs, gate, _ = net.forward_batch(x, masks)
-            down = total_loss(probs, gate, targets, errors, beta)
-            arr[idx] = orig
-            grad[idx] = (up - down) / (2.0 * step)
-        grads.append(grad)
-    return grads
-
-
 def _fresh_check_case(seed, dropout=0.3, detached=False):
     """Network + 3-sample batch with pre-activations clear of the relu kink,
     so central differences are valid at step 1e-5."""
@@ -379,7 +360,7 @@ def _fresh_check_case(seed, dropout=0.3, detached=False):
 def assert_grads_match(net, x, targets, errors, beta, masks, rel_tol=1e-4):
     _, _, cache = net.forward_batch(x, masks)
     analytic = net.backward(cache, targets, errors, beta)
-    numeric = _numeric_grads(net, x, targets, errors, beta, masks)
+    numeric = numeric_grads(net, x, targets, errors, beta, masks)
     for a, n in zip(analytic, numeric):
         denom = np.maximum(np.abs(a) + np.abs(n), 1e-8)
         rel = np.abs(a - n) / denom
@@ -399,23 +380,12 @@ class TestGradients:
         net, x, targets, errors, beta, masks = _fresh_check_case(7, detached=True)
         _, _, cache = net.forward_batch(x, masks)
         analytic = net.backward(cache, targets, errors, beta)
-        step = 1e-5
         # Finite differences of the class term alone, trunk parameters only.
-        for arr, grad in zip(net.parameters()[:4], analytic[:4]):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                probs, gate, _ = net.forward_batch(x, masks)
-                up = loss_terms(probs, gate, targets, errors, beta)[0]
-                arr[idx] = orig - step
-                probs, gate, _ = net.forward_batch(x, masks)
-                down = loss_terms(probs, gate, targets, errors, beta)[0]
-                arr[idx] = orig
-                numeric = (up - down) / (2.0 * step)
-                denom = max(abs(grad[idx]) + abs(numeric), 1e-8)
-                assert abs(grad[idx] - numeric) / denom < 1e-4
+        numeric = numeric_grads(net, x, targets, errors, beta, masks, terms=lambda t: t[0])
+        for grad, num in zip(analytic[:4], numeric[:4]):
+            for idx in np.ndindex(grad.shape):
+                denom = max(abs(grad[idx]) + abs(num[idx]), 1e-8)
+                assert abs(grad[idx] - num[idx]) / denom < 1e-4
 
 
 class TestTrainEpoch:
