@@ -44,19 +44,10 @@ def subprocess_env(**extra):
 
 
 def read_table(path):
-    rows = []
-    header = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells
-            else:
-                rows.append(dict(zip(header, cells)))
-    return rows
+    """Rows of a CSV as dicts, skipping `#` comment lines; a quoted cell
+    such as "16,32" stays one cell."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 def comment_lines(path):
@@ -686,8 +677,7 @@ class TestSweep:
         assert main(["sweep", "--config", config_path, "--param", "network.hidden",
                      "--values", "32,32; 16,32", "--out", str(out)]) == 0
         assert (out / "sweep_network.hidden_16,32" / "results_0.csv").exists()
-        with open(out / "sweep_summary.csv", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        rows = read_table(out / "sweep_summary.csv")
         assert [r["network.hidden"] for r in rows] == ["16,32", "32,32"]
 
     def test_empty_values_exit_one(self, config_path, tmp_path):

@@ -9,7 +9,10 @@ from math_oracles import numeric_grads
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
 from soqal.network import (
+    PROB_FLOOR,
+    EpochStats,
     Network,
+    clamp_probs,
     compute_beta,
     loss_terms,
     sigmoid,
@@ -126,6 +129,28 @@ def reference_backward(net, x, masks, targets, errors, beta):
             (d_gate[:, None] * top).sum(axis=0, keepdims=True), np.array([d_gate.sum()])]
 
 
+def reference_epoch(net, inputs, targets, learning_rate, batch_size, rng):
+    """train_epoch out of place: one gather per batch, float masks, the
+    reference forward and backward, and `param -= scale * grad`."""
+    order = rng.permutation(len(targets))
+    total_class = total_gate = 0.0
+    for start in range(0, len(targets), batch_size):
+        batch_idx = order[start : start + batch_size]
+        x, y = inputs[batch_idx], targets[batch_idx]
+        masks = [m.astype(np.float64) for m in net.make_masks(len(y), rng)]
+        *_, probs, gate = reference_forward(net, x, masks)
+        errors = (probs.argmax(axis=1) != y).astype(np.float64)
+        beta = compute_beta(errors)
+        class_term, gate_term = loss_terms(probs, gate, y, errors, beta)
+        grads = reference_backward(net, x, masks, y, errors, beta)
+        scale = learning_rate / len(y)
+        for param, grad in zip(net.parameters(), grads, strict=True):
+            param -= scale * grad
+        total_class += class_term
+        total_gate += gate_term
+    return EpochStats(total_class / len(targets), total_gate / len(targets))
+
+
 @st.composite
 def forward_cases(draw, max_rows=400):
     """A net of 1-3 trunk layers, a batch and masks (None or drawn), with
@@ -181,7 +206,22 @@ class TestInPlace:
         want = reference_backward(net, x, masks, targets, errors, beta)
         assert len(grads) == len(want)
         for got, ref in zip(grads, want):
-            np.testing.assert_array_equal(got, ref)
+            assert same_bits(got, ref)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("detached", [False, True])
+    def test_train_epoch_matches_out_of_place_reference(self, dropout, detached):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((45, 5))  # five batches of 8, then one of 5
+        y = rng.integers(0, 3, size=45)
+        nets = [tiny_net(seed=13, dropout=dropout, n_features=5, hidden=(16, 12),
+                         detached=detached) for _ in range(2)]
+        stats = [train_epoch(nets[0], x, y, 0.05, 8, np.random.default_rng(17)),
+                 reference_epoch(nets[1], x, y, 0.05, 8, np.random.default_rng(17))]
+        for got, want in zip(nets[0].parameters(), nets[1].parameters(), strict=True):
+            assert same_bits(got, want)
+        got, want = (np.array([s.mean_class_loss, s.mean_gate_loss]) for s in stats)
+        assert same_bits(got, want)
 
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 746.0, -746.0])
@@ -209,8 +249,17 @@ def same_bits_but_nan_sign(a, b):
 
 
 class TestElementwiseFormulations:
-    """The column-wise softmax max and the branch-free sigmoid give the bits
-    of the formulations they replaced, which serve as oracles here."""
+    """The column-wise softmax max, the branch-free sigmoid and the
+    minimum-of-maximum clamp give the bits of the formulations they
+    replaced, which serve as oracles here."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 5000), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @example(5000, 0, 0.5)
+    def test_clamp_probs_matches_clip(self, size, seed, special_frac):
+        p = special_array(size, seed, special_frac)
+        assert same_bits(clamp_probs(p), np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
     @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 5000), st.integers(1, 12), st.integers(0, 2**32 - 1),
