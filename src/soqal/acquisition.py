@@ -177,7 +177,6 @@ def mc_posteriors(
 
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Entropy of each distribution along the last axis, with 0 log 0 = 0."""
-    probs = np.asarray(probs, dtype=np.float64)
     logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
     return -(probs * logs).sum(axis=-1)
 
@@ -200,8 +199,6 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:
     """Indices of the ceil(b_frac * N) highest scores, ties to lower index."""
     values = np.asarray(scores, dtype=np.float64)
-    if values.size == 0:
-        return []
     count = math.ceil(b_frac * values.size)
     order = np.lexsort((np.arange(values.size), -values))
     return [int(i) for i in order[:count]]

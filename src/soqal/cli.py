@@ -1,7 +1,7 @@
 """Command-line surface: run experiment grids, sweep one parameter, and
 condense result directories into plot-ready CSVs.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error.
+Exit codes: 0 success, 1 input error (`ConfigError`), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .config import (
     value_separator,
 )
 from .engine import run_experiment
-from .errors import ConfigError, DataLoadError, SoqalError
+from .errors import ConfigError
 from .results import (
     ResultFile,
     format_float,
@@ -299,10 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, DataLoadError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SoqalError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

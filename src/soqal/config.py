@@ -171,7 +171,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 def validate(config: ExperimentConfig) -> None:
     """The library's only range check: reject out-of-range values, naming the key."""
-    from .data import SYNTHETIC_KINDS
+    from .data import SYNTHETIC_KINDS, _largest_remainder
     from .gate import CHERNOFF_MODES
     from .oracle import ORACLE_KINDS
     from .strategy import STRATEGY_NAMES
@@ -192,7 +192,7 @@ def validate(config: ExperimentConfig) -> None:
             "dataset.train_frac/val_frac/test_frac",
         ),
         (0.0 <= config.network.dropout < 1.0, "network.dropout"),
-        (len(config.network.hidden) >= 1, "network.hidden"),
+        (len(config.network.hidden) >= 1 and min(config.network.hidden) >= 1, "network.hidden"),
         (config.training.epochs >= 1, "training.epochs"),
         (config.training.batch_size >= 1, "training.batch_size"),
         (0.0 <= config.training.learning_rate < math.inf, "training.learning_rate"),
@@ -229,6 +229,11 @@ def validate(config: ExperimentConfig) -> None:
     for ok, key in checks:
         if not ok:
             raise ConfigError(f"invalid value for key: {key}")
+    # With valid fractions, split's train part is their largest-remainder
+    # share of n rows; a CSV's is known only once it is loaded.
+    fractions = [d.train_frac, d.val_frac, d.test_frac]
+    if d.source == "synthetic" and _largest_remainder(d.n, fractions)[0] < 1:
+        raise ConfigError("invalid value for key: dataset.train_frac")
 
 
 def _format_value(value) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataLoadError
+from .errors import ConfigError
 from .metrics import sorted_unique
 
 SYNTHETIC_KINDS = ("gaussian-blobs", "ring-vs-blob", "noisy-sine-classes")
@@ -109,11 +109,11 @@ def _parse_float(path: str, cell: str, row: int, column: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise DataLoadError(
+        raise ConfigError(
             f"{path}: non-numeric feature value {cell!r} at row {row}, column {column!r}"
         ) from None
     if not math.isfinite(value):
-        raise DataLoadError(
+        raise ConfigError(
             f"{path}: non-finite feature value {cell!r} at row {row}, column {column!r}"
         )
     return value
@@ -132,11 +132,11 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataLoadError(f"{path}: empty file") from None
+            raise ConfigError(f"{path}: empty file") from None
         if label_column not in header:
-            raise DataLoadError(f"{path}: missing label column {label_column!r}")
+            raise ConfigError(f"{path}: missing label column {label_column!r}")
         if len(header) < 2:
-            raise DataLoadError(f"{path}: no feature column besides {label_column!r}")
+            raise ConfigError(f"{path}: no feature column besides {label_column!r}")
         label_pos = header.index(label_column)
 
         rows: list[list[float]] = []
@@ -144,7 +144,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         label_map: dict[str, int] = {}
         for row_idx, record in enumerate(reader, start=1):
             if len(record) != len(header):
-                raise DataLoadError(
+                raise ConfigError(
                     f"{path}: row {row_idx} has {len(record)} cells, expected {len(header)}"
                 )
             raw_label = record[label_pos]
@@ -160,9 +160,9 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
             )
 
     if not rows:
-        raise DataLoadError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     if len(label_map) < 2:
-        raise DataLoadError(f"{path}: every row has label {raw_label!r}; need 2 classes or more")
+        raise ConfigError(f"{path}: every row has label {raw_label!r}; need 2 classes or more")
     return Dataset(
         features=np.asarray(rows, dtype=np.float64),
         labels=np.asarray(label_values, dtype=np.int64),

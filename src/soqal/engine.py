@@ -94,6 +94,9 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
         split_ss,
         init_labelled_frac=al.init_labelled_frac,
     )
+    initial = parts.init_labelled  # sorted, distinct int64 ids; empty only if train is
+    if not initial.size:
+        raise ConfigError("initial labelled pool is empty")
     features = standardize(dataset.features, parts.train)
 
     oracle = Oracle(config.oracle, dataset, parts.train)
@@ -110,9 +113,6 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     decision_rng = np.random.default_rng(decision_ss)
     oracle_rng = np.random.default_rng(oracle_ss)
 
-    initial = parts.init_labelled  # sorted, distinct int64 ids
-    if not initial.size:
-        raise ConfigError("initial labelled pool is empty")
     labelled = initial.tolist()
     assigned = np.full(len(dataset.labels), -1, dtype=np.int64)
     assigned[initial] = dataset.labels[initial]

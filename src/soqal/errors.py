@@ -6,8 +6,5 @@ class SoqalError(Exception):
 
 
 class ConfigError(SoqalError):
-    """Invalid configuration or a component used before it was set up."""
-
-
-class DataLoadError(SoqalError):
-    """A dataset file could not be parsed; the message names the position."""
+    """Invalid configuration or input file, or a component used before it
+    was set up; the message names the key, or the file and position."""

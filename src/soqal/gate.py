@@ -64,11 +64,9 @@ def fit_conditional_gaussians(
     The fit is valid only when each class has at least two samples; an
     invalid fit reports a Hellinger distance of zero.
     """
-    o = np.asarray(o_values, dtype=np.float64)
-    e = np.asarray(e_flags)
-    if o.shape != e.shape:
+    if o_values.shape != e_flags.shape:
         raise ValueError("o_values and e_flags must have the same length")
-    mask1 = e == 1
+    mask1 = e_flags == 1
     mask0 = ~mask1
     n0 = int(mask0.sum())
     n1 = int(mask1.sum())
@@ -79,8 +77,8 @@ def fit_conditional_gaussians(
             return 0.0, VAR_FLOOR
         return float(values.mean()), max(float(values.var()), VAR_FLOOR)
 
-    mu0, var0 = moments(o[mask0])
-    mu1, var1 = moments(o[mask1])
+    mu0, var0 = moments(o_values[mask0])
+    mu1, var1 = moments(o_values[mask1])
     prior0 = n0 / total if total else 0.5
     prior1 = 1.0 - prior0
     valid = n0 >= 2 and n1 >= 2

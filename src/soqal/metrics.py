@@ -25,8 +25,6 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def auc_binary(scores: np.ndarray, positives: np.ndarray) -> float:
     """Rank-statistic AUC of `scores` for the boolean mask; nan if a side is empty."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -42,8 +40,6 @@ def auc_ovr(scores: np.ndarray, labels: np.ndarray) -> float:
     `scores` holds one row of class scores per instance.  Classes absent
     from `labels` are skipped; fewer than two present classes give nan.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
     if scores.ndim != 2 or len(scores) != len(labels):
         raise ValueError("scores must be (N, C) aligned with labels")
     present = sorted_unique(labels)

@@ -161,13 +161,12 @@ class Network:
         layer runs in place on it, so inputs and masks are never written.
         The cache keeps the inputs, every layer's output and the masks.
         """
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
+        if inputs.ndim != 2 or inputs.shape[1] != self.n_features:
             raise ConfigError(
-                f"expected inputs of shape (B, {self.n_features}), got {x.shape}"
+                f"expected inputs of shape (B, {self.n_features}), got {inputs.shape}"
             )
-        activations = [x]
-        h = x
+        activations = [inputs]
+        h = inputs
         for idx in range(len(self.trunk)):
             h = self.trunk_layer(idx, h, None if masks is None else masks[idx])
             activations.append(h)
@@ -242,15 +241,10 @@ def loss_terms(
 ) -> tuple[float, float]:
     """(summed class term, summed gate term) of the joint objective;
     probabilities are clamped before logs."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    probs = np.asarray(class_probs, dtype=np.float64)
-    o = clamp_probs(np.asarray(gate_outputs, dtype=np.float64))
-    t = np.asarray(targets)
-    e = np.asarray(errors, dtype=np.float64)
-    p_target = clamp_probs(probs[np.arange(len(t)), t])
+    o = clamp_probs(gate_outputs)
+    p_target = clamp_probs(class_probs[np.arange(len(targets)), targets])
     class_term = float(-np.log(p_target).sum())
-    gate_term = float((-beta * e * np.log(o) - (1.0 - e) * np.log(1.0 - o)).sum())
+    gate_term = float((-beta * errors * np.log(o) - (1.0 - errors) * np.log(1.0 - o)).sum())
     return class_term, gate_term
 
 
@@ -281,7 +275,6 @@ def train_epoch(
         raise ConfigError("labelled pool is empty")
     if len(inputs) != n:
         raise ValueError("inputs and targets disagree on batch size")
-    targets = np.asarray(targets)
     if np.any(targets < 0) or np.any(targets >= net.n_classes):
         raise ValueError(f"targets must lie in [0, {net.n_classes})")
     order = rng.permutation(n)

@@ -45,9 +45,8 @@ class NeighborTable:
 
 def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
     """Mean-center and project onto the top principal components."""
-    x = np.asarray(features, dtype=np.float64)
-    centered = x - x.mean(axis=0)
-    cov = centered.T @ centered / len(x)
+    centered = features - features.mean(axis=0)
+    cov = centered.T @ centered / len(features)
     _, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
     components = eigvecs[:, ::-1][:, :embed_dims]
     return centered @ components
@@ -56,13 +55,13 @@ def pca_project(features: np.ndarray, embed_dims: int) -> np.ndarray:
 def build_neighbor_table(
     dataset: Dataset, embed_dims: int, instance_ids: np.ndarray
 ) -> NeighborTable:
-    """Project the rows `instance_ids` of `dataset` onto their own top
+    """Project the rows `instance_ids` (int64) of `dataset` onto their own top
     principal components; each row keeps its dataset index as its id."""
-    ids = np.asarray(instance_ids, dtype=np.int64)
-    labels = dataset.labels[ids]
+    labels = dataset.labels[instance_ids]
     if len(sorted_unique(labels)) < 2:
         raise ConfigError("neighbour table needs at least two classes present")
-    return NeighborTable(ids, pca_project(dataset.features[ids], embed_dims), labels)
+    coords = pca_project(dataset.features[instance_ids], embed_dims)
+    return NeighborTable(instance_ids, coords, labels)
 
 
 class Oracle:

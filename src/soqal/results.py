@@ -23,7 +23,7 @@ from itertools import zip_longest
 from . import __version__
 from .config import ExperimentConfig, canonical_lines, lines_hash, parse_config_text
 from .engine import EpochRecord, ResultLog, ask_rate
-from .errors import ConfigError, DataLoadError
+from .errors import ConfigError
 
 RESULT_COLUMNS = [
     "seed",
@@ -111,12 +111,12 @@ def read_result_csv(path: str) -> ResultFile:
             "".join(line[6:] if line.startswith("# cfg ") else "\n" for line in lines[:at])
         )
     except ConfigError as exc:
-        raise DataLoadError(f"{path} {exc}") from None
+        raise ConfigError(f"{path} {exc}") from None
     seed, epoch_rows, test_auc, final_rate = 0, [], float("nan"), float("nan")
     for n, line in enumerate(lines[at + 1 :], start=at + 2):
         cells = line.rstrip("\r\n").split(",")
         if len(cells) != len(RESULT_COLUMNS):
-            raise DataLoadError(
+            raise ConfigError(
                 f"{path} line {n}: {len(cells)} cells, expected {len(RESULT_COLUMNS)}"
             )
         row = dict(zip(RESULT_COLUMNS, cells))
@@ -125,7 +125,7 @@ def read_result_csv(path: str) -> ResultFile:
             try:
                 return parse(row[name])
             except ValueError:
-                raise DataLoadError(
+                raise ConfigError(
                     f"{path} line {n}: column {name}: not a number: {row[name]!r}"
                 ) from None
 
@@ -144,10 +144,10 @@ def read_result_csv(path: str) -> ResultFile:
     for n, pair in enumerate(pairs, start=1):
         if pair[0] != pair[1]:
             expected, found = ("end of file" if s is None else repr(s) for s in pair)
-            raise DataLoadError(f"{path} line {n}: expected {expected}, found {found}")
+            raise ConfigError(f"{path} line {n}: expected {expected}, found {found}")
     if not epoch_rows:
         n = len(lines) + 1
-        raise DataLoadError(f"{path} line {n}: expected an epoch row, found end of file")
+        raise ConfigError(f"{path} line {n}: expected an epoch row, found end of file")
     return ResultFile(seed, config, digest, epoch_rows, test_auc, final_rate)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import soqal
 from soqal.cli import main
-from soqal.errors import DataLoadError
+from soqal.errors import ConfigError
 from soqal.results import read_result_csv
 
 REPO = Path(__file__).resolve().parent.parent
@@ -333,11 +333,17 @@ class TestRun:
             (["strategy.epsilon.d=0"], "strategy.epsilon.d"),
             (["active_learning.init_labelled_frac=0"], "active_learning.init_labelled_frac"),
             (["network.hidden="], "network.hidden"),
+            (["network.hidden=0"], "network.hidden"),
+            (["network.hidden=32,0"], "network.hidden"),
+            (["network.hidden=-3"], "network.hidden"),
+            (["dataset.train_frac=0.00001", "dataset.val_frac=0.5", "dataset.test_frac=0.49999"],
+             "dataset.train_frac"),
         ],
         ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
              "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate",
              "too-few-instances", "fractions-not-summing-to-one", "zero-epsilon-decay",
-             "zero-init-labelled", "no-hidden-layer"],
+             "zero-init-labelled", "no-hidden-layer", "zero-width-layer",
+             "zero-width-second-layer", "negative-width-layer", "zero-row-train-split"],
     )
     def test_out_of_range_value_exits_one_before_writing(
         self, config_path, tmp_path, capsys, settings, key
@@ -571,7 +577,7 @@ class TestResultFileSchema:
         lines = {"drop": lines[:-1], "repeat": lines + [final],
                  "append-epoch": lines + [last_epoch]}[edit]
         path.write_text("".join(lines))
-        with pytest.raises(DataLoadError) as exc:
+        with pytest.raises(ConfigError) as exc:
             read_result_csv(str(path))
         assert str(exc.value).startswith(f"{path} line {len(lines) + past_end}: {message}")
 

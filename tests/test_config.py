@@ -119,6 +119,9 @@ class TestValidate:
             ("training.learning_rate", "inf"),
             ("training.learning_rate", "nan"),
             ("network.hidden", ""),
+            ("network.hidden", "0"),
+            ("network.hidden", "32,0"),
+            ("network.hidden", "-3"),
             ("dataset.n", "19"),
             ("dataset.classes", "1"),
             ("active_learning.init_labelled_frac", "0"),
@@ -130,6 +133,16 @@ class TestValidate:
         cfg = apply_setting(ExperimentConfig(), key, value)
         with pytest.raises(ConfigError, match=f"invalid value for key: {re.escape(key)}$"):
             validate(cfg)
+
+    def test_train_split_of_no_rows_rejected(self):
+        # 1000 rows: 0.01, 500.0 and 499.99 round to 0, 500 and 500 rows.
+        cfg = ExperimentConfig()
+        for key, value in [("dataset.train_frac", "0.00001"), ("dataset.val_frac", "0.5"),
+                           ("dataset.test_frac", "0.49999")]:
+            cfg = apply_setting(cfg, key, value)
+        with pytest.raises(ConfigError, match="invalid value for key: dataset.train_frac$"):
+            validate(cfg)
+        validate(apply_setting(cfg, "dataset.n", "200000"))  # 2 train rows
 
     def test_fractions_not_summing_to_one_rejected(self):
         cfg = apply_setting(ExperimentConfig(), "dataset.train_frac", "0.5")

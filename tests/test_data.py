@@ -8,7 +8,7 @@ from soqal.data import (
     split,
     standardize,
 )
-from soqal.errors import DataLoadError
+from soqal.errors import ConfigError
 from soqal.metrics import auc_ovr
 from soqal.network import Network, train_epoch
 
@@ -72,38 +72,38 @@ class TestLoadCsv:
     def test_nan_cell_error_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,label\n1.0,2.0,a\n3.0,nan,b\n")
-        with pytest.raises(DataLoadError, match=r"row 2.*'x2'"):
+        with pytest.raises(ConfigError, match=r"row 2.*'x2'"):
             load_csv(str(path))
 
     def test_non_numeric_cell_error_names_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,label\noops,2.0,a\n3.0,4.0,b\n")
-        with pytest.raises(DataLoadError, match=r"row 1.*'x1'"):
+        with pytest.raises(ConfigError, match=r"row 1.*'x1'"):
             load_csv(str(path))
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("x1,x2\n1.0,2.0\n")
-        with pytest.raises(DataLoadError, match="label"):
+        with pytest.raises(ConfigError, match="label"):
             load_csv(str(path))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(DataLoadError, match="empty"):
+        with pytest.raises(ConfigError, match="empty"):
             load_csv(str(path))
 
     def test_label_only_file_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("label\na\nb\n")
-        with pytest.raises(DataLoadError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_csv(str(path))
         assert str(exc.value) == f"{path}: no feature column besides 'label'"
 
     def test_one_class_file_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("x1,label\n1.0,a\n2.0,a\n")
-        with pytest.raises(DataLoadError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_csv(str(path))
         assert str(exc.value) == f"{path}: every row has label 'a'; need 2 classes or more"
 
@@ -115,7 +115,7 @@ class TestLoadCsv:
     def test_every_error_starts_with_the_file(self, tmp_path, text):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(DataLoadError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_csv(str(path))
         assert str(exc.value).startswith(f"{path}: ")
 

@@ -254,6 +254,16 @@ class TestRunExperiment:
         balanced = run_experiment(tiny_config("no-oracle", epochs=3), seed=18)
         assert balanced.stratified_split is True
 
+    def test_csv_with_empty_train_part_rejected_before_standardizing(self, tmp_path):
+        # 20 rows: 0.2, 10.0 and 9.8 round to 0, 10 and 10 rows, so no train
+        # row; standardizing over none would warn on an empty mean.
+        path = tmp_path / "small.csv"
+        path.write_text("x1,label\n" + "".join(f"{i}.5,{'ab'[i % 2]}\n" for i in range(20)))
+        cfg = tiny_config(dataset={"source": "csv", "csv_path": str(path), "train_frac": 0.01,
+                                   "val_frac": 0.5, "test_frac": 0.49})
+        with pytest.raises(ConfigError, match="initial labelled pool is empty"):
+            run_experiment(cfg, seed=20)
+
     @pytest.mark.parametrize(
         "overrides,key",
         [

@@ -379,11 +379,6 @@ class TestJointLoss:
             errors = rng.integers(0, 2, size=5).astype(float)
             assert total_loss(probs, o, targets, errors, rng.uniform(0, 4)) >= 0.0
 
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(np.array([[0.5, 0.5]]), np.array([0.5]), np.array([0]),
-                       np.array([0.0]), -1.0)
-
 
 def _fresh_check_case(seed, dropout=0.3, detached=False):
     """Network + 3-sample batch with pre-activations clear of the relu kink,

@@ -29,9 +29,10 @@ from soqal.engine import (
     ask_rate,
     run_experiment,
 )
-from soqal.errors import DataLoadError
+from soqal.errors import ConfigError
 from soqal.gate import GateStats, chernoff_bound, hellinger
 from soqal.metrics import _midranks, auc_binary, sorted_unique
+from soqal.network import compute_beta
 from soqal.oracle import ORACLE_KINDS, NeighborTable
 from soqal.results import read_result_csv, write_result_csv
 from soqal.strategy import STRATEGY_NAMES
@@ -139,6 +140,16 @@ def test_largest_remainder_conserves_total(total, weights):
     counts = _largest_remainder(total, fractions)
     assert sum(counts) == total
     assert all(abs(c - total * f) < 1.0 for c, f in zip(counts, fractions))
+
+
+@PROPERTY
+@given(arrays(np.float64, st.integers(1, 300), elements=st.sampled_from([0.0, 1.0])))
+@example(np.ones(7))
+@example(np.zeros(1))
+def test_compute_beta_is_finite_and_nonnegative(errors):
+    # loss_terms relies on this: its only beta comes from here, unchecked.
+    beta = compute_beta(errors)
+    assert math.isfinite(beta) and beta >= 0.0
 
 
 posterior_stacks = st.tuples(st.integers(1, 12), st.integers(2, 10)).flatmap(
@@ -361,7 +372,7 @@ def test_result_csv_with_any_one_line_replaced_is_rejected_naming_a_line(log, da
         assume(new not in ("# stratified_split = true", "# stratified_split = false"))
         lines[i] = new + "\n"
         path.write_bytes("".join(lines).encode("utf-8"))
-        with pytest.raises(DataLoadError) as exc:
+        with pytest.raises(ConfigError) as exc:
             read_result_csv(str(path))
     assert str(exc.value).startswith(f"{path} line ")
 
