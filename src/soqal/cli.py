@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 
 import numpy as np
@@ -48,13 +49,6 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
-def _shared_header(configs: list[ExperimentConfig]) -> list[str]:
-    """The provenance lines that every config shares: the header of a table
-    with one row per config, whose rows name the rest."""
-    headers = [provenance_comments(cfg)[1] for cfg in configs]
-    return [line for line in headers[0] if all(line in h for h in headers)]
-
-
 def _spelled(config: ExperimentConfig) -> dict[str, str]:
     """Each canonical key's value, spelled as in the `# cfg` lines."""
     return dict(line.split(" = ", 1) for line in canonical_lines(config))
@@ -65,17 +59,22 @@ def _csv_cell(value: str) -> str:
     return '"' + value.replace('"', '""') + '"' if "," in value or '"' in value else value
 
 
-def _leads(configs: list[ExperimentConfig]) -> tuple[list[str], list[list[str]]]:
-    """The leading columns of a table with one row per config, and each
-    config's cells under them: `strategy`, then every setting besides the
-    strategy whose value differs between the configs, spelled as in the
-    `# cfg` lines.  The settings they share are in `_shared_header`."""
+def _layout(configs: list[ExperimentConfig]) -> tuple[list[str], list[str], list[list[str]]]:
+    """The layout of a table with one row per config, from one split of the
+    settings into those the configs share and those that differ: the header
+    (the provenance lines every config shares, so the config hash only when
+    nothing differs), the leading columns (`strategy`, then every other
+    setting that differs, spelled as in the `# cfg` lines) and each config's
+    cells under them."""
     spelled = [_spelled(cfg) for cfg in configs]
-    keys = [k for k in spelled[0]
-            if k != "strategy.name" and any(s[k] != spelled[0][k] for s in spelled)]
-    leads = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
+    differ = {k for k in spelled[0] if any(s[k] != spelled[0][k] for s in spelled)}
+    version, digest, *cfg_lines = provenance_comments(configs[0])[1]
+    header = [version, *([] if differ else [digest]),
+              *(line for line, k in zip(cfg_lines, spelled[0]) if k not in differ)]
+    keys = [k for k in spelled[0] if k in differ and k != "strategy.name"]
+    cells = [[cfg.strategy.name, *(_csv_cell(s[k]) for k in keys)]
              for cfg, s in zip(configs, spelled)]
-    return ["strategy", *keys], leads
+    return header, ["strategy", *keys], cells
 
 
 def _groups(files: list[ResultFile]) -> list[list[ResultFile]]:
@@ -94,8 +93,7 @@ def _write_summary(path: str, groups: list[list[ResultFile]]) -> None:
     """Write one row per group of `_groups`: the leading cells, then the
     seed count, the mean and standard deviation of test AUC and of ask rate,
     the config hash and the artifact version."""
-    configs = [files[0].config for files in groups]
-    lead_columns, leads = _leads(configs)
+    header, lead_columns, leads = _layout([files[0].config for files in groups])
     columns = [*lead_columns, "n_seeds", "mean_test_auc", "std_test_auc",
                "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
     rows = []
@@ -104,7 +102,7 @@ def _write_summary(path: str, groups: list[list[ResultFile]]) -> None:
                  *_mean_std([f.final_ask_rate for f in files]))
         rows.append([*lead, str(len(files)), *map(format_float, stats),
                      files[0].config_hash, __version__])
-    write_table(path, columns, rows, _shared_header(configs))
+    write_table(path, columns, rows, header)
 
 
 def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
@@ -119,11 +117,11 @@ def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
     return replace(config, output_dir=args.out or config.output_dir)
 
 
-def _run_grids(
-    variants: list[tuple[ExperimentConfig, str]], jobs: int, summary_path: str
-) -> None:
-    """Run every pending seed of each (config, directory) variant and write
-    the summary, one row per variant in `_groups` order.
+def _run_grids(config: ExperimentConfig, key: str, values: list[str],
+               directory: Callable[[str], str], jobs: int, summary: str) -> int:
+    """Run every pending seed of each variant, `config` with `key` set to one
+    of `values` in the directory `directory(value)`, and write the `summary`
+    table into the output directory, one row per variant in `_groups` order.
 
     Before anything runs, every variant is validated and checked to differ
     from the others, and each existing `results_<seed>.csv` is read (which
@@ -133,6 +131,7 @@ def _run_grids(
     completed files are never overwritten, so an interrupted grid resumes
     where it stopped.
     """
+    variants = [(apply_setting(config, key, value), directory(value)) for value in values]
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     dirs: dict[str, str] = {}
@@ -176,20 +175,19 @@ def _run_grids(
         for run in pending:
             _run_one(*run)
     files += [read_result_csv(path) for _, _, path in pending]
-    _write_summary(summary_path, _groups(files))
+    _write_summary(os.path.join(config.output_dir, summary), _groups(files))
+    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """`--strategy` spells the sweep over `strategy.name`, into `<out>/<name>`,
+    or into `<out>` itself for one strategy, with `summary.csv`."""
     config = _prepare(args, args.set or [])
-    strategies = args.strategy or [config.strategy.name]
-    out_root = config.output_dir
-    variants = []
-    for name in strategies:
-        cfg = replace(config, strategy=replace(config.strategy, name=name))
-        sub_dir = out_root if len(strategies) == 1 else os.path.join(out_root, name)
-        variants.append((cfg, sub_dir))
-    _run_grids(variants, args.jobs, os.path.join(out_root, "summary.csv"))
-    return 0
+    names = args.strategy or [config.strategy.name]
+    out = config.output_dir
+    return _run_grids(config, "strategy.name", names,
+                      lambda name: out if len(names) == 1 else os.path.join(out, name),
+                      args.jobs, "summary.csv")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -197,15 +195,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     config = _prepare(args, [])
-    variants = [
-        (
-            apply_setting(config, args.param, value),
-            os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),
-        )
-        for value in values
-    ]
-    _run_grids(variants, args.jobs, os.path.join(config.output_dir, "sweep_summary.csv"))
-    return 0
+    return _run_grids(config, args.param, values,
+                      lambda value: os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),
+                      args.jobs, "sweep_summary.csv")
 
 
 def _find_result_files(root: str) -> list[str]:
@@ -235,11 +227,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
         files.append(f)
     groups = _groups(files)
-    configs = [group[0].config for group in groups]
-    lead_columns, leads = _leads(configs)
-    out_dir = args.out or args.in_dir
-    os.makedirs(out_dir, exist_ok=True)
-
+    header, lead_columns, leads = _layout([group[0].config for group in groups])
     curve_rows = []
     for lead, group in zip(leads, groups):
         per_epoch: dict[int, list[float]] = {}
@@ -252,9 +240,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                                group[0].config_hash, __version__])
     curve_columns = ["epoch", *lead_columns, "mean_val_auc", "std_val_auc",
                      "config_hash", "artifact_version"]
-    write_table(os.path.join(out_dir, "curves.csv"), curve_columns, curve_rows,
-                _shared_header(configs))
-    _write_summary(os.path.join(out_dir, "askrate.csv"), groups)
+    write_table(os.path.join(args.in_dir, "curves.csv"), curve_columns, curve_rows, header)
+    _write_summary(os.path.join(args.in_dir, "askrate.csv"), groups)
     return 0
 
 
@@ -286,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser("report", help="emit plot-ready CSVs from results")
     report_p.add_argument("--in", dest="in_dir", required=True)
-    report_p.add_argument("--out")
     report_p.set_defaults(func=cmd_report)
     return parser
 

@@ -270,10 +270,17 @@ def _stratified_take(
 def standardize(features: np.ndarray, train_indices: np.ndarray) -> np.ndarray:
     """Z-score all rows with mean/std computed from the training rows only.
 
-    Constant features keep their centered value (std treated as 1).
+    Constant features keep their centered value (std treated as 1).  A
+    feature whose mean or std overflows would scale to zeros, so it is
+    rejected by index.
     """
     train = features[train_indices]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.mean(axis=0)
+        std = train.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise ConfigError(f"feature {bad[0]} is too large to standardize: the mean or "
+                          "standard deviation of its training rows overflows; rescale it")
     std = np.where(std > 0.0, std, 1.0)
     return (features - mean) / std

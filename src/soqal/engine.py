@@ -130,6 +130,9 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
 
         # Drop the forward cache: kept to the next epoch, it raises peak memory.
         lab_probs, lab_gate = net.forward_batch(x_lab)[:2]
+        if not (np.isfinite(lab_probs).all() and np.isfinite(lab_gate).all()):
+            raise ValueError(f"training diverged at epoch {epoch}: the network's outputs are "
+                             "not finite; lower training.learning_rate")
         e_flags = (lab_probs.argmax(axis=1) != y_lab).astype(np.int64)
         gate_stats = fit_conditional_gaussians(lab_gate, e_flags)
 

@@ -356,6 +356,36 @@ class TestRun:
         assert f"invalid value for key: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_separation_too_large_to_standardize_exits_one(self, config_path, tmp_path, capsys):
+        out = tmp_path / "huge"
+        code = main(["run", "--config", config_path, "--set", "seeds=0",
+                     "--set", "dataset.separation=1e200", "--out", str(out)])
+        assert code == 1
+        assert "error: feature 0 is too large to standardize" in capsys.readouterr().err
+        assert not (out / "results_0.csv").exists()
+
+    def test_csv_column_too_large_to_standardize_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,label\n" + "".join(
+            f"{i % 7}.5,{i % 5}e200,{'ab'[i % 2]}\n" for i in range(60)))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(f"dataset.source = csv\ndataset.csv_path = {data}\nseeds = 0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error: feature 1 is too large to standardize" in capsys.readouterr().err
+        assert not (out / "results_0.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns first
+    def test_diverged_training_exits_two_naming_the_epoch(self, config_path, tmp_path, capsys):
+        out = tmp_path / "diverged"
+        code = main(["run", "--config", config_path, "--set", "seeds=0",
+                     "--set", "training.learning_rate=1e308", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: training diverged at epoch 1:")
+        assert "lower training.learning_rate" in err
+        assert not (out / "results_0.csv").exists()
+
     def test_set_overrides_an_invalid_file_value(self, tmp_path):
         path = tmp_path / "wide.cfg"
         path.write_text(TINY_CONFIG + "strategy.S = 1.5\nseeds = 0\n")
@@ -677,6 +707,16 @@ class TestSweep:
         rows = read_table(out / "sweep_summary.csv")
         assert [(r["strategy"], float(r["mean_ask_rate"])) for r in rows] == [
             ("full-oracle", 1.0), ("no-oracle", 0.0)]
+        # `run --strategy` spells the same sweep: the same bytes in `<out>/<name>`.
+        run_out = tmp_path / "run"
+        assert main(["run", "--config", config_path, "--strategy", "full-oracle",
+                     "--strategy", "no-oracle", "--out", str(run_out)]) == 0
+        for name in ("full-oracle", "no-oracle"):
+            for seed in (0, 1):
+                result = f"results_{seed}.csv"
+                assert (run_out / name / result).read_bytes() == (
+                    out / f"sweep_strategy.name_{name}" / result).read_bytes()
+        assert (run_out / "summary.csv").read_bytes() == (out / "sweep_summary.csv").read_bytes()
 
     def test_list_valued_key_sweeps_values_separated_by_semicolons(self, config_path, tmp_path):
         out = tmp_path / "hidden"

@@ -198,3 +198,10 @@ class TestStandardize:
         scaled = standardize(features, np.arange(10))
         assert np.all(np.isfinite(scaled))
         np.testing.assert_allclose(scaled[:, 0], 0.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308], ids=["std-overflows", "mean-overflows"])
+    def test_feature_too_large_to_standardize_rejected_by_index(self, scale):
+        features = np.random.default_rng(15).uniform(0.5, 1.0, size=(20, 3))
+        features[:, 1] *= scale
+        with pytest.raises(ConfigError, match="^feature 1 is too large to standardize"):
+            standardize(features, np.arange(12))

@@ -411,13 +411,19 @@ def test_report_writes_one_summary_row_per_config_hash(variants, data):
                 rates.setdefault(config_hash(config), []).append(ask_rate(log))
         assert main(["report", "--in", tmp]) == 0
         with open(Path(tmp, "askrate.csv"), encoding="utf-8", newline="") as fh:
-            table = list(csv.reader(line for line in fh if not line.startswith("#")))
+            lines = fh.read().splitlines()
+    table = list(csv.reader(line for line in lines if not line.startswith("#")))
 
     differing = sorted(k for k in variants[0] if k != "strategy.name"
                        and any(v[k] != variants[0][k] for v in variants))
     header, rows = table[0], [dict(zip(table[0], row)) for row in table[1:]]
     assert header == ["strategy", *differing, "n_seeds", "mean_test_auc", "std_test_auc",
                       "mean_ask_rate", "std_ask_rate", "config_hash", "artifact_version"]
+    # One layout decision: each other key is a header line or a column, not both.
+    for key in REPORT_KEYS:
+        if key != "strategy.name":
+            shared = any(line.startswith(f"# cfg {key} = ") for line in lines)
+            assert shared != (key in header), key
     assert sorted(row["config_hash"] for row in rows) == sorted(rates)
     assert sum(int(row["n_seeds"]) for row in rows) == sum(map(len, rates.values()))
     for row in rows:
