@@ -22,6 +22,7 @@ from .config import (
     config_hash,
     load_config,
     settings,
+    spell,
     validate,
     value_separator,
 )
@@ -29,7 +30,6 @@ from .engine import run_experiment
 from .errors import ConfigError
 from .results import (
     ResultFile,
-    format_float,
     provenance_comments,
     read_result_csv,
     write_result_csv,
@@ -100,7 +100,7 @@ def _write_summary(path: str, groups: list[list[ResultFile]]) -> None:
     for lead, files in zip(leads, groups):
         stats = (*_mean_std([f.test_auc for f in files]),
                  *_mean_std([f.final_ask_rate for f in files]))
-        rows.append([*lead, str(len(files)), *map(format_float, stats),
+        rows.append([*lead, spell("int", len(files)), *(spell("float", s) for s in stats),
                      files[0].config_hash, __version__])
     write_table(path, columns, rows, header)
 
@@ -235,8 +235,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             for row in f.epoch_rows:
                 per_epoch.setdefault(row["epoch"], []).append(row["val_auc"])
         for epoch in sorted(per_epoch):
-            mean, std = _mean_std(per_epoch[epoch])
-            curve_rows.append([str(epoch), *lead, format_float(mean), format_float(std),
+            mean_std = (spell("float", s) for s in _mean_std(per_epoch[epoch]))
+            curve_rows.append([spell("int", epoch), *lead, *mean_std,
                                group[0].config_hash, __version__])
     curve_columns = ["epoch", *lead_columns, "mean_val_auc", "std_val_auc",
                      "config_hash", "artifact_version"]

@@ -94,23 +94,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+# Each field annotation's spelling and its inverse parse: the one definition
+# of how a typed value is written and read as text, in `# cfg` lines, `--set`
+# values and every CSV cell.  Writers and readers pick an entry by the
+# field's annotation, never by the value's runtime type.
+TEXT_FORMS = {
+    "int": (str, int),
+    "float": (lambda value: repr(float(value)), float),
+    "str": (str, str),
+    "bool": (lambda value: "true" if value else "false", _parse_bool),
+    "tuple[int, ...]": (lambda value: ",".join(map(str, value)),
+                        lambda raw: tuple(int(part) for part in raw.split(",") if part.strip())),
+}
+
+
+def spell(annotation: str, value) -> str:
+    return TEXT_FORMS[annotation][0](value)
+
+
+def parse(annotation: str, raw: str):
+    return TEXT_FORMS[annotation][1](raw)
 
 
 def _key_table() -> dict[str, tuple]:
-    """key -> (section, attribute, parser) for every config field.
+    """key -> (section, attribute, annotation) for every config field.
 
     A key is ``section.field`` (``field`` for a top-level field) unless the
-    field's metadata names another; the parser follows the annotation.
+    field's metadata names another.
     """
-    parsers = {
-        "int": int,
-        "float": float,
-        "str": str,
-        "bool": _parse_bool,
-        "tuple[int, ...]": _parse_int_list,
-    }
     table = {}
     for top in fields(ExperimentConfig):
         if is_dataclass(top.default_factory):
@@ -119,7 +130,7 @@ def _key_table() -> dict[str, tuple]:
             members = [(None, top)]
         for section, f in members:
             key = f.metadata.get("key", f.name if section is None else f"{section}.{f.name}")
-            table[key] = (section, f.name, parsers[f.type])
+            table[key] = (section, f.name, f.type)
     return table
 
 
@@ -128,16 +139,16 @@ _KNOWN_KEYS = _key_table()
 
 def value_separator(key: str) -> str:
     """What separates a list of `key`'s values: `;` where a value is a list itself."""
-    return ";" if key in _KNOWN_KEYS and _KNOWN_KEYS[key][2] is _parse_int_list else ","
+    return ";" if key in _KNOWN_KEYS and _KNOWN_KEYS[key][2] == "tuple[int, ...]" else ","
 
 
 def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
     """Return a new config with one dotted key set from its string form."""
     if key not in _KNOWN_KEYS:
         raise ConfigError(f"unknown key: {key}")
-    section, attr, parser = _KNOWN_KEYS[key]
+    section, attr, annotation = _KNOWN_KEYS[key]
     try:
-        value = parser(raw)
+        value = parse(annotation, raw)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key}: cannot parse value {raw!r}") from None
     if section is None:
@@ -236,16 +247,6 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError("invalid value for key: dataset.train_frac")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def settings(config: ExperimentConfig) -> dict:
     """Each key's typed value, in key order, but the output directory's: the
     hash identifies the experiment, not where its files land."""
@@ -255,7 +256,8 @@ def settings(config: ExperimentConfig) -> dict:
 
 def canonical_lines(config: ExperimentConfig) -> list[str]:
     """The ``key = value`` lines of `settings`, which the hash covers."""
-    return [f"{key} = {_format_value(value)}" for key, value in settings(config).items()]
+    return [f"{key} = {spell(_KNOWN_KEYS[key][2], value)}"
+            for key, value in settings(config).items()]
 
 
 def config_hash(config: ExperimentConfig) -> str:

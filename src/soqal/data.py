@@ -120,14 +120,14 @@ def _parse_float(path: str, cell: str, row: int, column: str) -> float:
 
 
 def load_csv(path: str, label_column: str = "label") -> Dataset:
-    """Load a dataset from a headed CSV file.
+    """Load a dataset from a headed UTF-8 CSV file, with or without a byte-order mark.
 
     Every column except `label_column` is parsed as a float64 feature.
     String labels map to class indices in order of first appearance.
     Every error names the file; rows are numbered from 1 (header excluded).
     The file needs a feature column and at least two label values.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

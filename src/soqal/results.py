@@ -8,20 +8,20 @@ the config hash, and the full resolved configuration, then a fixed header::
     artifact_version
 
 Per-epoch rows leave ``test_auc`` empty; one final row (``epoch = final``)
-carries the test AUC and the run's final ask-rate.  Floats are written with
-``repr`` so identical runs produce identical bytes.  The writer is the one
-definition of the format: the reader re-renders what it parsed and accepts
-only the same text.
+carries the test AUC and the run's final ask-rate.  ``config.spell`` writes
+each cell from its field's annotation (floats with ``repr``), so identical
+runs produce identical bytes.  The writer is the one definition of the
+format: the reader re-renders what it parsed and accepts only the same text.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
 
 from . import __version__
-from .config import ExperimentConfig, canonical_lines, lines_hash, parse_config_text
+from .config import ExperimentConfig, canonical_lines, lines_hash, parse, parse_config_text, spell
 from .engine import EpochRecord, ResultLog, ask_rate
 from .errors import ConfigError
 
@@ -32,19 +32,6 @@ RESULT_COLUMNS = [
     "config_hash",
     "artifact_version",
 ]
-
-
-def format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _epoch_cells(rec: EpochRecord) -> list[str]:
-    """One cell per EpochRecord field: ints with str, floats with format_float."""
-    cells = []
-    for f in fields(rec):
-        value = getattr(rec, f.name)
-        cells.append(str(value) if f.type == "int" else format_float(value))
-    return cells
 
 
 def provenance_comments(config: ExperimentConfig) -> tuple[str, list[str]]:
@@ -62,17 +49,15 @@ def _result_table(
 ) -> tuple[str, list[str], list[list[str]]]:
     """The config hash, comment lines and rows of a result file: the format's one definition."""
     digest, comments = provenance_comments(config)
-    rows = [[str(seed), *_epoch_cells(rec), "", digest, __version__] for rec in epochs]
+    rows = [[spell("int", seed), *(spell(f.type, getattr(rec, f.name)) for f in fields(rec)),
+             "", digest, __version__] for rec in epochs]
     if epochs:  # the reader also re-renders a file in which it found none
-        final = {
-            "epoch": "final",
-            "cum_ask_rate": format_float(final_rate),
-            "n_labelled": str(epochs[-1].n_labelled),
-            "n_unlabelled": str(epochs[-1].n_unlabelled),
-        }
-        cells = (final.get(f.name, "") for f in fields(EpochRecord))
-        rows.append([str(seed), *cells, format_float(test_auc), digest, __version__])
-    comments.append(f"# stratified_split = {str(stratified).lower()}")
+        last = replace(epochs[-1], cum_ask_rate=final_rate)
+        cells = ("final" if f.name == "epoch" else spell(f.type, getattr(last, f.name))
+                 if f.name in ("cum_ask_rate", "n_labelled", "n_unlabelled") else ""
+                 for f in fields(last))
+        rows.append([spell("int", seed), *cells, spell("float", test_auc), digest, __version__])
+    comments.append(f"# stratified_split = {spell('bool', stratified)}")
     return digest, comments, rows
 
 
@@ -121,23 +106,22 @@ def read_result_csv(path: str) -> ResultFile:
             )
         row = dict(zip(RESULT_COLUMNS, cells))
 
-        def number(name: str, parse=float):
+        def number(name: str, annotation: str = "float"):
             try:
-                return parse(row[name])
+                return parse(annotation, row[name])
             except ValueError:
                 raise ConfigError(
                     f"{path} line {n}: column {name}: not a number: {row[name]!r}"
                 ) from None
 
         if n == at + 2:
-            seed = number("seed", int)
+            seed = number("seed", "int")
         if row["epoch"] == "final":
             test_auc, final_rate = number("test_auc"), number("cum_ask_rate")
             break
-        epoch_rows.append({f.name: number(f.name, int if f.type == "int" else float)
-                           for f in fields(EpochRecord)})
+        epoch_rows.append({f.name: number(f.name, f.type) for f in fields(EpochRecord)})
         epoch_rows[-1]["epoch"] = len(epoch_rows)  # by position: a gap or repeat re-renders
-    stratified = "# stratified_split = false\n" not in lines[:at]
+    stratified = f"# stratified_split = {spell('bool', False)}\n" not in lines[:at]
     records = [EpochRecord(**row) for row in epoch_rows]
     digest, comments, rows = _result_table(config, seed, records, test_auc, final_rate, stratified)
     pairs = zip_longest(_table_text(RESULT_COLUMNS, rows, comments).splitlines(True), lines)

@@ -119,6 +119,21 @@ class TestLoadCsv:
             load_csv(str(path))
         assert str(exc.value).startswith(f"{path}: ")
 
+    def test_byte_order_mark_loads_as_the_plain_file(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with a BOM, which must not
+        become part of the first column's name."""
+        rng = np.random.default_rng(3)
+        rows = [f"{i % 2},{rng.normal()!r},{rng.normal()!r}" for i in range(60)]
+        text = "label,x1,x2\n" + "\n".join(rows) + "\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(text.encode("utf-8-sig"))
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbflabel,")
+        expected, loaded = load_csv(str(plain)), load_csv(str(bom))
+        np.testing.assert_array_equal(loaded.features, expected.features)
+        np.testing.assert_array_equal(loaded.labels, expected.labels)
+        assert loaded.n_classes == expected.n_classes == 2
+
     def test_round_trip(self, tmp_path):
         original = gen_synthetic("gaussian-blobs", 40, 2, 3, 2.0, seed=6)
         path = tmp_path / "round.csv"

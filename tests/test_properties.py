@@ -19,7 +19,18 @@ from scipy.stats import norm, rankdata
 from math_oracles import concordance_auc
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
 from soqal.cli import main
-from soqal.config import ACQUISITION_NAMES, ExperimentConfig, apply_setting, config_hash
+from soqal.config import (
+    _KNOWN_KEYS,
+    ACQUISITION_NAMES,
+    TEXT_FORMS,
+    ExperimentConfig,
+    apply_setting,
+    canonical_lines,
+    config_hash,
+    parse,
+    parse_config_text,
+    spell,
+)
 from soqal.data import SYNTHETIC_KINDS, _largest_remainder, split
 from soqal.engine import (
     AcquisitionRecord,
@@ -375,6 +386,66 @@ def test_result_csv_with_any_one_line_replaced_is_rejected_naming_a_line(log, da
         with pytest.raises(ConfigError) as exc:
             read_result_csv(str(path))
     assert str(exc.value).startswith(f"{path} line ")
+
+
+# A value of each field annotation.  Strings are single-line and unpadded:
+# all that a `key = value` line can carry.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+typed_values = {
+    "int": st.integers(),
+    "float": st.one_of(any_float, st.sampled_from([5e-324, -1e-310])),
+    "str": st.text(st.characters(codec="utf-8", exclude_characters=LINE_BREAKS)).map(str.strip),
+    "bool": st.booleans(),
+    "tuple[int, ...]": st.lists(st.integers(), max_size=4).map(tuple),
+}
+
+
+def with_values(values: dict) -> ExperimentConfig:
+    """The default config with each key of `values` set to its typed value."""
+    config = ExperimentConfig()
+    for key, value in values.items():
+        section, attr, _ = _KNOWN_KEYS[key]
+        if section is None:
+            config = replace(config, **{attr: value})
+        else:
+            config = replace(config, **{section: replace(getattr(config, section), **{attr: value})})
+    return config
+
+
+@PROPERTY
+@given(st.fixed_dictionaries(
+    {key: typed_values[annotation] for key, (_, _, annotation) in _KNOWN_KEYS.items()}
+))
+def test_every_config_survives_its_own_cfg_lines(values):
+    config = with_values(values)
+    lines = canonical_lines(config)
+    again = parse_config_text("\n".join(lines))
+    assert canonical_lines(again) == lines
+    assert config_hash(again) == config_hash(config)
+    floats = [v for key, v in values.items() if _KNOWN_KEYS[key][2] == "float"]
+    if not any(math.isnan(v) for v in floats):
+        assert again == replace(config, output_dir=again.output_dir)
+    log = ResultLog(seed=0, epochs=[EpochRecord(1, *[0.5] * 7, 1, 1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp, "results_0.csv"))
+        write_result_csv(log, config, path)
+        assert read_result_csv(path).config_hash == config_hash(config)
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(TEXT_FORMS)).flatmap(
+    lambda annotation: st.tuples(st.just(annotation), typed_values[annotation])
+))
+@example(("float", math.nan))
+@example(("float", -math.inf))
+@example(("float", -0.0))
+@example(("float", 5e-324))
+@example(("tuple[int, ...]", ()))
+def test_each_text_form_parses_back_to_the_text_it_spells(case):
+    assert set(typed_values) == set(TEXT_FORMS)
+    annotation, value = case
+    text = spell(annotation, value)
+    assert spell(annotation, parse(annotation, text)) == text
 
 
 # Settings in which the result files of one report directory may differ.
