@@ -26,7 +26,7 @@ from .config import (
     validate,
     value_separator,
 )
-from .engine import run_experiment
+from .engine import prefix_key, run_experiment, shared_prefix
 from .errors import ConfigError
 from .results import (
     ResultFile,
@@ -37,8 +37,12 @@ from .results import (
 )
 
 
-def _run_one(config: ExperimentConfig, seed: int, path: str) -> None:
-    write_result_csv(run_experiment(config, seed), config, path)
+def _run_group(runs: list[tuple[ExperimentConfig, int, str]]) -> None:
+    """Run and write the (config, seed, path) runs of one `prefix_key`, which
+    compute their shared prefix once."""
+    with shared_prefix(len(runs)):
+        for config, seed, path in runs:
+            write_result_csv(run_experiment(config, seed), config, path)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -127,7 +131,8 @@ def _run_grids(config: ExperimentConfig, key: str, values: list[str],
     from the others, and each existing `results_<seed>.csv` is read (which
     checks its bytes) and checked to hold that variant's config hash and
     seed; a differing hash names the keys that differ.
-    Missing files are run, all in one process pool when `jobs` > 1;
+    Missing files are run seed by seed, in groups of one `prefix_key` that
+    share their prefix, all groups in one process pool when `jobs` > 1;
     completed files are never overwritten, so an interrupted grid resumes
     where it stopped.
     """
@@ -164,16 +169,19 @@ def _run_grids(config: ExperimentConfig, key: str, values: list[str],
                 )
     for out_dir in dirs.values():
         os.makedirs(out_dir, exist_ok=True)
-    workers = min(jobs, len(pending))  # fork starts every worker at once
+    prefix_groups: dict[tuple, list] = {}
+    for run in sorted(pending, key=lambda run: run[1]):  # seed-major
+        prefix_groups.setdefault(prefix_key(*run[:2]), []).append(run)
+    workers = min(jobs, len(prefix_groups))  # fork starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, *run) for run in pending]
+            futures = [pool.submit(_run_group, group) for group in prefix_groups.values()]
             for future in futures:
                 future.result()
     else:
-        for run in pending:
-            _run_one(*run)
+        for group in prefix_groups.values():
+            _run_group(group)
     files += [read_result_csv(path) for _, _, path in pending]
     _write_summary(os.path.join(config.output_dir, summary), _groups(files))
     return 0

@@ -237,6 +237,10 @@ def validate(config: ExperimentConfig) -> None:
             (d.kind != "ring-vs-blob" or d.classes == 2, "dataset.classes"),
             (d.kind == "gaussian-blobs" or d.features >= 2, "dataset.features"),  # 2-D kinds
         ]
+    # A `# cfg` line is read back through `str.splitlines`: a text value
+    # holding any line break it splits on would not survive it.
+    checks += [(value.splitlines() in ([], [value]), key)
+               for key, value in settings(config).items() if _KNOWN_KEYS[key][2] == "str"]
     for ok, key in checks:
         if not ok:
             raise ConfigError(f"invalid value for key: {key}")

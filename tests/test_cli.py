@@ -356,6 +356,20 @@ class TestRun:
         assert f"invalid value for key: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    # Every character `str.splitlines` splits on, inside a text value, would
+    # split the value's `# cfg` line when the result file is read back.
+    @pytest.mark.parametrize("key", ["dataset.label_column", "dataset.csv_path"])
+    @pytest.mark.parametrize("char", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                             ids=lambda char: f"U+{ord(char):04X}")
+    def test_text_value_with_a_line_break_exits_one_before_writing(
+        self, config_path, tmp_path, capsys, key, char
+    ):
+        out = tmp_path / "broken"
+        assert main(["run", "--config", config_path, "--set", f"{key}=a{char}b",
+                     "--out", str(out)]) == 1
+        assert f"invalid value for key: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_separation_too_large_to_standardize_exits_one(self, config_path, tmp_path, capsys):
         out = tmp_path / "huge"
         code = main(["run", "--config", config_path, "--set", "seeds=0",
@@ -441,7 +455,9 @@ class TestRun:
         assert main(["run", "--config", config_path, "--jobs", "64",
                      "--strategy", "full-oracle", "--strategy", "no-oracle",
                      "--out", str(tmp_path / "grid")]) == 0
-        assert started == [4]  # one pool for the 2 strategies x 2 seeds
+        # One pool for the 2 strategies x 2 seeds, one worker per seed: each
+        # seed's strategies share their prefix in one task.
+        assert started == [2]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_one_before_writing(self, config_path, tmp_path, capsys, jobs):

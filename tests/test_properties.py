@@ -18,12 +18,13 @@ from scipy.stats import norm, rankdata
 
 from math_oracles import concordance_auc
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
-from soqal.cli import main
+from soqal.cli import _run_group, main
 from soqal.config import (
     _KNOWN_KEYS,
     ACQUISITION_NAMES,
     TEXT_FORMS,
     ExperimentConfig,
+    StrategyConfig,
     apply_setting,
     canonical_lines,
     config_hash,
@@ -200,6 +201,16 @@ def test_neighbor_row_is_lowest_row_at_minimum_distance(case):
         assert table.neighbor_row(instance_id) == expected
 
 
+strategy_configs = st.builds(
+    StrategyConfig,
+    name=st.sampled_from(STRATEGY_NAMES),
+    hellinger_threshold=st.floats(0.0, 1.0),
+    entropy_threshold=st.floats(0.0, 1.0),
+    epsilon0=st.floats(0.0, 1.0),
+    epsilon_decay=st.floats(0.1, 1.0),
+)
+
+
 @st.composite
 def small_runs(draw):
     """A (config, seed) pair: n <= 200, at most 10 epochs, T <= 5."""
@@ -225,14 +236,7 @@ def small_runs(draw):
             b_frac=draw(st.floats(0.0, 1.0)),
             acquisition=draw(st.sampled_from(ACQUISITION_NAMES)),
         ),
-        strategy=replace(
-            base.strategy,
-            name=draw(st.sampled_from(STRATEGY_NAMES)),
-            hellinger_threshold=draw(st.floats(0.0, 1.0)),
-            entropy_threshold=draw(st.floats(0.0, 1.0)),
-            epsilon0=draw(st.floats(0.0, 1.0)),
-            epsilon_decay=draw(st.floats(0.1, 1.0)),
-        ),
+        strategy=draw(strategy_configs),
         oracle=replace(
             base.oracle,
             kind=draw(st.sampled_from(ORACLE_KINDS)),
@@ -296,6 +300,22 @@ def test_run_conserves_the_pool_and_records_provenance(case):
         assert all(a.source == "self" for a in log.acquisitions)
     if strategy == "full-oracle":
         assert all(a.source == "oracle" for a in log.acquisitions)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(small_runs(), st.lists(strategy_configs, min_size=2, max_size=4))
+def test_runs_sharing_a_prefix_write_the_bytes_they_write_alone(case, strategies):
+    """One `_run_grids` group, seed-runs that differ in any strategy setting,
+    writes per run the bytes of that run outside any shared-prefix scope."""
+    config, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        group = [(replace(config, strategy=strategy), seed, str(Path(tmp, f"grouped{i}.csv")))
+                 for i, strategy in enumerate(strategies)]
+        _run_group(group)
+        for i, (variant, _, path) in enumerate(group):
+            alone = str(Path(tmp, f"alone{i}.csv"))
+            write_result_csv(run_experiment(variant, seed), variant, alone)
+            assert Path(path).read_bytes() == Path(alone).read_bytes()
 
 
 any_float = st.one_of(

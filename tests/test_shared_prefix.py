@@ -1,0 +1,192 @@
+"""Seed-runs whose configs differ only in `strategy` share their prefix, the
+epochs up to the first acquisition event's picks: a grid computes it once
+per seed and forks it, and each fork writes the bytes its run writes alone."""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+import soqal.cli
+import soqal.engine
+import soqal.oracle
+from soqal.cli import main
+from soqal.config import ExperimentConfig, apply_setting, load_config
+from soqal.engine import prefix_key, run_experiment, shared_prefix
+from soqal.results import write_result_csv
+from soqal.strategy import STRATEGY_NAMES
+
+# epochs 8 with the default period 5: one shared event at epoch 5.
+TINY_CONFIG = """
+dataset.kind = gaussian-blobs
+dataset.n = 120
+dataset.separation = 2.5
+training.epochs = 8
+seeds = 0,1
+"""
+EPOCHS, PERIOD = 8, 5
+
+
+def grid_config(tmp_path, settings=""):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CONFIG + settings)
+    return str(path)
+
+
+def strategy_args(names):
+    return [arg for name in names for arg in ("--strategy", name)]
+
+
+def alone_bytes(config, seed, path):
+    """The result file of (config, seed) run outside any shared-prefix scope."""
+    write_result_csv(run_experiment(config, seed), config, str(path))
+    return path.read_bytes()
+
+
+def counting(monkeypatch, module, name):
+    """Wrap `module.name` to count its calls; returns the count list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedPrefixEquality:
+    @pytest.mark.parametrize(
+        "settings, strategies, jobs",
+        [
+            ("", STRATEGY_NAMES, "1"),
+            ("oracle.kind = random-flip\noracle.gamma = 0.4\n"
+             "active_learning.acquisition = entropy\n", STRATEGY_NAMES, "2"),
+            ("oracle.kind = nn-flip\noracle.gamma = 0.5\n"
+             "active_learning.acquisition = random\n", STRATEGY_NAMES, "1"),
+            ("training.epochs = 3\n", ("soqal", "epsilon-greedy", "full-oracle"), "1"),
+            ("active_learning.b = 0.0\n", ("soqal", "epsilon-greedy", "full-oracle"), "1"),
+            ("active_learning.b = 1.0\n", ("soqal", "epsilon-greedy", "no-oracle"), "1"),
+        ],
+        ids=["noise-free-bald", "random-flip-entropy-jobs2", "nn-flip-random",
+             "epochs-below-period", "b-zero", "b-one"],
+    )
+    def test_grid_writes_the_bytes_of_each_run_alone(self, tmp_path, settings, strategies, jobs):
+        cfg = grid_config(tmp_path, settings)
+        grid = tmp_path / "grid"
+        assert main(["run", "--config", cfg, *strategy_args(strategies), "--jobs", jobs,
+                     "--out", str(grid)]) == 0
+        for name in strategies:
+            config = apply_setting(load_config(cfg), "strategy.name", name)
+            for seed in config.seeds:
+                written = (grid / name / f"results_{seed}.csv").read_bytes()
+                assert written == alone_bytes(config, seed, tmp_path / f"{name}_{seed}.csv")
+
+    def test_strategy_sweep_writes_the_bytes_of_each_run_alone(self, tmp_path, monkeypatch):
+        """A sweep over a strategy setting shares prefixes too; here every run
+        of a group draws from its own copy of the decision stream."""
+        cfg = grid_config(tmp_path, "strategy.name = epsilon-greedy\n")
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        assert main(["sweep", "--config", cfg, "--param", "strategy.epsilon0",
+                     "--values", "0.3,0.6,0.9", "--out", str(tmp_path / "sweep")]) == 0
+        assert len(trained) == 2 * PERIOD + 6 * (EPOCHS - PERIOD)
+        for value in ("0.3", "0.6", "0.9"):
+            config = apply_setting(load_config(cfg), "strategy.epsilon0", value)
+            for seed in config.seeds:
+                written = (tmp_path / "sweep" / f"sweep_strategy.epsilon0_{value}"
+                           / f"results_{seed}.csv").read_bytes()
+                assert written == alone_bytes(config, seed, tmp_path / f"{value}_{seed}.csv")
+
+    def test_b_one_empties_the_pool_at_the_shared_event(self, tmp_path):
+        config = apply_setting(load_config(grid_config(tmp_path, "active_learning.b = 1.0\n")),
+                               "strategy.name", "epsilon-greedy")
+        log = run_experiment(config, 0)
+        assert [rec.epoch for rec in log.epochs] == [1, 2, 3, 4, 5]
+        assert log.epochs[-1].n_unlabelled == 0
+
+
+class TestSharedPrefixIsolation:
+    @pytest.mark.parametrize("first, second", [
+        (["oracle.gamma=0.1"], ["oracle.gamma=0.3"]),
+        (["gate.chernoff_mode=full-bound"], ["gate.chernoff_mode=exponent-only"]),
+        (["network.dropout=0.3"], ["network.dropout=0.2"]),
+        (["training.learning_rate=0.0"], ["training.learning_rate=-0.0"]),
+        (["seeds=0"], ["seeds=1"]),
+    ], ids=["gamma", "chernoff-mode", "dropout", "signed-zero-rate", "seed"])
+    def test_configs_differing_outside_strategy_share_no_prefix(
+        self, tmp_path, monkeypatch, first, second
+    ):
+        base = load_config(grid_config(tmp_path, "oracle.kind = random-flip\n"))
+        runs = []
+        for name, settings in [("soqal", first), ("epsilon-greedy", second)]:
+            config = apply_setting(base, "strategy.name", name)
+            for setting in settings:
+                config = apply_setting(config, *setting.split("="))
+            runs.append((config, config.seeds[0]))
+        assert prefix_key(*runs[0]) != prefix_key(*runs[1])
+        alone = [alone_bytes(cfg, seed, tmp_path / f"alone{i}.csv")
+                 for i, (cfg, seed) in enumerate(runs)]
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        with shared_prefix(len(runs)):
+            grouped = [alone_bytes(cfg, seed, tmp_path / f"scoped{i}.csv")
+                       for i, (cfg, seed) in enumerate(runs)]
+        assert len(trained) == 2 * EPOCHS  # each run trains every epoch itself
+        assert grouped == alone
+
+    def test_prefix_key_ignores_only_strategy_settings(self):
+        config = ExperimentConfig()
+        varied = replace(config, strategy=replace(config.strategy, name="no-oracle",
+                                                  hellinger_threshold=0.9, epsilon0=0.5))
+        assert prefix_key(config, 3) == prefix_key(varied, 3)
+        assert prefix_key(config, 3) == prefix_key(replace(config, output_dir="elsewhere"), 3)
+        assert prefix_key(config, 3) != prefix_key(config, 4)
+
+    def test_counts_of_a_three_strategy_two_seed_grid(self, tmp_path, monkeypatch):
+        cfg = grid_config(tmp_path, "oracle.kind = nn-flip\noracle.gamma = 0.3\n")
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        tables = counting(monkeypatch, soqal.oracle, "build_neighbor_table")
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        strategies = ("soqal", "entropy-response", "epsilon-greedy")
+        assert main(["run", "--config", cfg, *strategy_args(strategies),
+                     "--out", str(tmp_path / "grid")]) == 0
+        assert len(trained) == 2 * PERIOD + 6 * (EPOCHS - PERIOD)
+        assert len(tables) == 2
+        assert len(forks) == 2 * 2  # per seed: the snapshot, and one copy for the second run
+
+    def test_one_strategy_grid_takes_no_snapshot(self, tmp_path, monkeypatch):
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        assert main(["run", "--config", grid_config(tmp_path),
+                     "--out", str(tmp_path / "one")]) == 0
+        assert forks == []
+        assert len(trained) == 2 * EPOCHS
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_experiment_gets_config_and_seed_once_per_seed_run(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """The CLI calls `run_experiment(config, seed)` once per seed-run and
+        gets back that run's whole log, in the pool's workers too."""
+        record = tmp_path / "calls.txt"
+        real = soqal.cli.run_experiment
+
+        def probed(*args, **kwargs):
+            log = real(*args, **kwargs)
+            with open(record, "a") as fh:
+                digest = hashlib.sha256(repr(log).encode()).hexdigest()
+                print(len(args), sorted(kwargs), args[0].strategy.name, args[1], digest, file=fh)
+            return log
+
+        monkeypatch.setattr(soqal.cli, "run_experiment", probed)
+        cfg = grid_config(tmp_path, "oracle.kind = random-flip\noracle.gamma = 0.3\n")
+        strategies = ("soqal", "epsilon-greedy", "entropy-response")
+        assert main(["run", "--config", cfg, *strategy_args(strategies), "--jobs", jobs,
+                     "--out", str(tmp_path / "grid")]) == 0
+        expected = []
+        for name in strategies:
+            config = apply_setting(load_config(cfg), "strategy.name", name)
+            for seed in config.seeds:
+                digest = hashlib.sha256(repr(real(config, seed)).encode()).hexdigest()
+                expected.append(f"2 [] {name} {seed} {digest}")
+        assert sorted(record.read_text().splitlines()) == sorted(expected)
