@@ -26,7 +26,7 @@ from .config import (
     validate,
     value_separator,
 )
-from .engine import prefix_key, run_experiment, shared_prefix
+from .engine import prefix_key, run_experiment, shared_runs
 from .errors import ConfigError
 from .results import (
     ResultFile,
@@ -39,8 +39,8 @@ from .results import (
 
 def _run_group(runs: list[tuple[ExperimentConfig, int, str]]) -> None:
     """Run and write the (config, seed, path) runs of one `prefix_key`, which
-    compute their shared prefix once."""
-    with shared_prefix(len(runs)):
+    compute each epoch once for as long as their decisions agree."""
+    with shared_runs([run[:2] for run in runs]):
         for config, seed, path in runs:
             write_result_csv(run_experiment(config, seed), config, path)
 
@@ -132,9 +132,10 @@ def _run_grids(config: ExperimentConfig, key: str, values: list[str],
     checks its bytes) and checked to hold that variant's config hash and
     seed; a differing hash names the keys that differ.
     Missing files are run seed by seed, in groups of one `prefix_key` that
-    share their prefix, all groups in one process pool when `jobs` > 1;
-    completed files are never overwritten, so an interrupted grid resumes
-    where it stopped.
+    share their epochs while their decisions agree, all groups in one process
+    pool when `jobs` > 1; a group's files are written once it is computed
+    whole and are never overwritten, so an interrupted grid resumes at the
+    first group it did not finish.
     """
     variants = [(apply_setting(config, key, value), directory(value)) for value in values]
     if jobs < 1:

@@ -8,23 +8,29 @@ self-label.  Runs are pure functions of (config, seed): RNG streams for
 data, network, strategy draws, and oracle flips are spawned separately so
 strategies that consume no randomness leave the shared streams untouched.
 
-A run's mutable state is a `_Run`: the network; the network, decision and
-oracle RNG streams; the `labelled` id list, whose append order fixes the
-training permutation; the `assigned` training labels by dataset id, -1
-where none is assigned (true labels reach evaluation and the oracle, never
-training); the `unlabelled` mask over dataset ids; the log; and `pending`,
-an epoch trained up to its acquisition event's picks whose decisions are
-not yet made.  The dataset, split, standardized features and oracle are
-read-only, in `_Data`.  An event runs at every multiple of the period
-while the pool is non-empty, so its index comes from the epoch: k - 1 at
-epoch k * period.
+A run's mutable state is a `_Run`: the network; the network and oracle RNG
+streams; the `labelled` id list, whose append order fixes the training
+permutation; the `assigned` training labels by dataset id, -1 where none
+is assigned (true labels reach evaluation and the oracle, never training);
+the `unlabelled` mask over dataset ids; and the log.  A run's decision
+stream is kept outside its `_Run`, since runs that share one `_Run` each
+draw from their own (see below).  The dataset, split, standardized
+features and oracle are read-only, in `_Data`.  An event runs at every
+multiple of the period while the pool is non-empty, so its index comes
+from the epoch: k - 1 at epoch k * period.
 
-Nothing before the first event's `decide` reads `config.strategy`, so the
-runs of one seed whose configs differ only there agree up to that point,
-their prefix.  Inside `shared_prefix`, a group of such runs computes it
-once: the first stops there, keeps a deep copy of its `_Run` (sharing its
-`_Data`) and goes on; each later run resumes from a copy of that snapshot,
-the last from the snapshot itself.  A run without an event is all prefix.
+Only an event's `decide` reads `config.strategy`, and equal decisions (the
+returned label arrays) mean equal oracle draws and equal `assigned` labels.
+So the runs of one seed whose configs differ only in the strategy stay
+equal, but for their decision streams, for as long as their decisions
+agree.  `_run_branches` advances such a group in lockstep as branches: a
+branch is one `_Run` and its members, the runs whose decisions have agreed
+so far, each with its own decision stream.  At each epoch a branch trains
+and picks once, every member decides, and the members are grouped by the
+label arrays they return; each group after the first gets a deep copy of
+the branch, taken before the oracle labels it.  A run that never splits
+off computes nothing of its own, and a group holds at most one `_Run` per
+distinct decision history.  A run alone is a group of one.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from .acquisition import bald_mcd, gate_values, mc_posteriors, predictive_entrop
 from .config import ExperimentConfig, StrategyConfig, canonical_lines, validate
 from .data import Dataset, SplitIndices, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError
-from .gate import GateStats, chernoff_bound, fit_conditional_gaussians
+from .gate import chernoff_bound, fit_conditional_gaussians
 from .metrics import auc_ovr
-from .network import EpochStats, Network, train_epoch
+from .network import Network, train_epoch
 from .oracle import Oracle
 from .strategy import decide
 
@@ -105,17 +111,6 @@ class _Data(NamedTuple):
     oracle: Oracle
 
 
-class _Epoch(NamedTuple):
-    """An epoch up to its decisions."""
-
-    stats: EpochStats
-    gate_stats: GateStats
-    val_auc: float
-    # The event's picked ids, in id order, their gate values and mean
-    # posteriors; None on an epoch without an event.
-    picks: tuple[list[int], np.ndarray, np.ndarray] | None
-
-
 @dataclass
 class _Run:
     """The mutable state of one run (see the module docstring)."""
@@ -123,40 +118,38 @@ class _Run:
     data: _Data
     net: Network
     net_rng: np.random.Generator
-    decision_rng: np.random.Generator
     oracle_rng: np.random.Generator
     labelled: list[int]
     assigned: np.ndarray
     unlabelled: np.ndarray
     log: ResultLog
-    pending: _Epoch | None = None
 
 
-@dataclass
-class _Scope:
-    """A `shared_prefix` group: its runs not yet started, and the prefix key
-    and snapshot that its first run left for them."""
-
-    runs_left: int
-    key: tuple | None = None
-    snapshot: _Run | None = None
+# The `shared_runs` scope: each run's `_run_key` mapped to the run, and to
+# its log once the first call has computed the group.
+_SCOPE: ContextVar[dict | None] = ContextVar("shared_runs", default=None)
 
 
-_SCOPE: ContextVar[_Scope | None] = ContextVar("shared_prefix", default=None)
+def _run_key(config: ExperimentConfig, seed: int) -> tuple:
+    """The seed and every setting, as spelled in the `# cfg` lines (0.0 and
+    -0.0 differ)."""
+    return int(seed), *canonical_lines(config)
 
 
 def prefix_key(config: ExperimentConfig, seed: int) -> tuple:
-    """Equal for runs that share their prefix: the seed and every setting but
-    the strategy's, as spelled in the `# cfg` lines (0.0 and -0.0 differ)."""
-    return int(seed), *canonical_lines(replace(config, strategy=StrategyConfig()))
+    """Equal for runs that `_run_branches` may compute together: the `_run_key`
+    of every setting but the strategy's."""
+    return _run_key(replace(config, strategy=StrategyConfig()), seed)
 
 
 @contextmanager
-def shared_prefix(runs: int) -> Iterator[None]:
-    """Scope the next `runs` calls of `run_experiment`, seed-runs of one
-    `prefix_key`, so that their prefix runs once; a call of another key runs
-    alone.  No snapshot is kept for one run, nor after the last."""
-    token = _SCOPE.set(_Scope(runs))
+def shared_runs(runs: list[tuple[ExperimentConfig, int]]) -> Iterator[None]:
+    """Scope the `run_experiment` calls of `runs`, (config, seed) pairs of
+    one `prefix_key`: the first such call computes them all in one group,
+    and each returns its own run's log; a call of another run runs alone."""
+    if len({prefix_key(*run) for run in runs}) > 1:
+        raise ValueError("shared_runs takes runs of one prefix_key")
+    token = _SCOPE.set({_run_key(*run): run for run in runs})
     try:
         yield
     finally:
@@ -165,30 +158,12 @@ def shared_prefix(runs: int) -> Iterator[None]:
 
 def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
     """Run one experiment; deterministic given (config, seed)."""
-    validate(config)
-    run = _prefix(config, seed)
-    if run.pending is not None:  # stopped at its first event's picks
-        _advance(config, run, until_picks=False)
-    return run.log
-
-
-def _prefix(config: ExperimentConfig, seed: int) -> _Run:
-    """The run up to its first event's picks, or to its end if it has no
-    event: computed, or forked from the snapshot of the `shared_prefix` scope."""
-    scope = _SCOPE.get()
-    if scope is not None:
-        scope.runs_left -= 1
-        key = prefix_key(config, seed)
-        if scope.key == key:
-            if scope.runs_left:
-                return _fork(scope.snapshot)
-            run, scope.key, scope.snapshot = scope.snapshot, None, None
-            return run
-    run = _start(config, seed)
-    _advance(config, run, until_picks=True)
-    if scope is not None and scope.runs_left:
-        scope.key, scope.snapshot = key, _fork(run)
-    return run
+    scope, key = _SCOPE.get() or {}, _run_key(config, seed)
+    if key not in scope:
+        return _run_branches([(config, seed)])[0]
+    if not isinstance(scope[key], ResultLog):
+        scope.update(zip(list(scope), _run_branches(list(scope.values()))))
+    return scope[key]
 
 
 def _fork(run: _Run) -> _Run:
@@ -196,8 +171,9 @@ def _fork(run: _Run) -> _Run:
     return copy.deepcopy(run, {id(run.data): run.data})
 
 
-def _start(config: ExperimentConfig, seed: int) -> _Run:
-    """A run before its first epoch: its data, network, streams and pools."""
+def _start(config: ExperimentConfig, seed: int) -> tuple[_Run, np.random.SeedSequence]:
+    """A run before its first epoch: its data, network, streams and pools,
+    and the seed of its decision stream."""
     root = np.random.SeedSequence(int(seed))
     synth_ss, split_ss, net_ss, decision_ss, oracle_ss = root.spawn(5)
 
@@ -225,7 +201,6 @@ def _start(config: ExperimentConfig, seed: int) -> _Run:
         seed=net_rng.integers(2**63),
         gate_detached=config.network.gate_detached,
     )
-    decision_rng = np.random.default_rng(decision_ss)
     oracle_rng = np.random.default_rng(oracle_ss)
 
     assigned = np.full(len(dataset.labels), -1, dtype=np.int64)
@@ -233,70 +208,44 @@ def _start(config: ExperimentConfig, seed: int) -> _Run:
     unlabelled = np.zeros(len(dataset.labels), dtype=bool)
     unlabelled[parts.train] = True
     unlabelled[initial] = False
-    return _Run(_Data(dataset, parts, features, oracle), net, net_rng, decision_rng, oracle_rng,
-                initial.tolist(), assigned, unlabelled,
-                ResultLog(int(seed), stratified_split=parts.stratified))
+    run = _Run(_Data(dataset, parts, features, oracle), net, net_rng, oracle_rng,
+               initial.tolist(), assigned, unlabelled,
+               ResultLog(int(seed), stratified_split=parts.stratified))
+    return run, decision_ss
 
 
-def _advance(config: ExperimentConfig, run: _Run, until_picks: bool) -> None:
-    """Run the epochs of `run` from where it stands, then its test AUC; with
-    `until_picks`, stop at the first event's picks, that epoch in `pending`."""
-    dataset, parts, features, oracle = run.data
-    al, log = config.active_learning, run.log
-    for epoch in range(len(log.epochs) + 1, config.training.epochs + 1):
-        current = run.pending or _train_and_pick(config, run, epoch)
-        if until_picks and current.picks is not None:
-            run.pending = current
-            return
-        run.pending = None
-        if current.picks is not None:
-            picked, gate_outputs, mean_probs = current.picks
-            labels = decide(config.strategy, epoch // al.period - 1, current.gate_stats,
-                            gate_outputs, mean_probs, run.decision_rng)
-            for instance_id, label in zip(picked, labels.tolist()):
-                true_label = int(dataset.labels[instance_id])
-                asked = label < 0
-                if asked:
-                    label = oracle.label(instance_id, true_label, run.oracle_rng)
-                run.assigned[instance_id] = label
-                log.acquisitions.append(
-                    AcquisitionRecord(
-                        epoch=epoch,
-                        instance_id=instance_id,
-                        source="oracle" if asked else "self",
-                        assigned_label=int(label),
-                        true_label=true_label,
-                    )
-                )
-            run.unlabelled[picked] = False
-            run.labelled += picked
-
-        chern = chernoff_bound(current.gate_stats, config.chernoff_mode)
-        log.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=current.stats.mean_class_loss,
-                gate_loss=current.stats.mean_gate_loss,
-                val_auc=current.val_auc,
-                d_hellinger=current.gate_stats.d_hellinger,
-                chernoff_bound=chern.bound,
-                beta_star=chern.beta_star,
-                cum_ask_rate=ask_rate(log) if log.acquisitions else 0.0,
-                n_labelled=len(run.labelled),
-                n_unlabelled=int(run.unlabelled.sum()),
-            )
-        )
-        if not run.unlabelled.any():
+def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
+    """The logs of `runs`, (config, seed) pairs of one `prefix_key`, advanced
+    in lockstep branches (see the module docstring)."""
+    for config, _ in runs:
+        validate(config)
+    config, seed = runs[0]
+    run, decision_ss = _start(config, seed)
+    # A member is a run's index in `runs` and that run's own decision stream.
+    branches = [(run, [(i, np.random.default_rng(decision_ss)) for i in range(len(runs))])]
+    for epoch in range(1, config.training.epochs + 1):
+        branches = [branch for run, members in branches
+                    for branch in _step(runs, run, members, epoch)]
+        if not branches[0][0].unlabelled.any():  # all branch pools have one size
             break
 
-    log.test_auc = auc_ovr(run.net.forward_batch(features[parts.test])[0],
-                           dataset.labels[parts.test])
+    logs: list[ResultLog] = [None] * len(runs)
+    for run, members in branches:
+        dataset, parts, features, _ = run.data
+        run.log.test_auc = auc_ovr(run.net.forward_batch(features[parts.test])[0],
+                                   dataset.labels[parts.test])
+        for index, _ in members:
+            logs[index] = run.log
+    return logs
 
 
-def _train_and_pick(config: ExperimentConfig, run: _Run, epoch: int) -> _Epoch:
-    """Train one epoch, refit the gate, score validation and, on an
-    acquisition epoch, pick."""
-    dataset, parts, features, _ = run.data
+def _step(runs: list[tuple[ExperimentConfig, int]], run: _Run, members: list,
+          epoch: int) -> list[tuple[_Run, list]]:
+    """One epoch of a branch: train, refit the gate, score validation and,
+    on an acquisition epoch, pick, let each member decide and label the
+    picks once per distinct decision.  Returns the branches it ends as."""
+    config = runs[0][0]
+    dataset, parts, features, oracle = run.data
     x_lab, y_lab = features[run.labelled], run.assigned[run.labelled]
     stats = train_epoch(
         run.net, x_lab, y_lab, config.training.learning_rate, config.training.batch_size,
@@ -313,10 +262,53 @@ def _train_and_pick(config: ExperimentConfig, run: _Run, epoch: int) -> _Epoch:
 
     val_auc = auc_ovr(run.net.forward_batch(features[parts.val])[0], dataset.labels[parts.val])
 
-    al, picks = config.active_learning, None
+    al, splits = config.active_learning, {b"": (None, members)}
     if epoch % al.period == 0 and al.b_frac > 0.0 and run.unlabelled.any():
-        picks = _pick(config, run, epoch)
-    return _Epoch(stats, gate_stats, val_auc, picks)
+        picked, gate_outputs, mean_probs = _pick(config, run, epoch)
+        splits = {}
+        for index, rng in members:
+            labels = decide(runs[index][0].strategy, epoch // al.period - 1, gate_stats,
+                            gate_outputs, mean_probs, rng)
+            splits.setdefault(labels.tobytes(), (labels, []))[1].append((index, rng))
+    # Every copy is taken before the oracle labels the run.
+    forks = [run, *(_fork(run) for _ in range(len(splits) - 1))]
+    chern = chernoff_bound(gate_stats, config.chernoff_mode)
+    for fork, (labels, _) in zip(forks, splits.values()):
+        log = fork.log
+        if labels is not None:
+            for instance_id, label in zip(picked, labels.tolist()):
+                true_label = int(dataset.labels[instance_id])
+                asked = label < 0
+                if asked:
+                    label = oracle.label(instance_id, true_label, fork.oracle_rng)
+                fork.assigned[instance_id] = label
+                log.acquisitions.append(
+                    AcquisitionRecord(
+                        epoch=epoch,
+                        instance_id=instance_id,
+                        source="oracle" if asked else "self",
+                        assigned_label=int(label),
+                        true_label=true_label,
+                    )
+                )
+            fork.unlabelled[picked] = False
+            fork.labelled += picked
+
+        log.epochs.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=stats.mean_class_loss,
+                gate_loss=stats.mean_gate_loss,
+                val_auc=val_auc,
+                d_hellinger=gate_stats.d_hellinger,
+                chernoff_bound=chern.bound,
+                beta_star=chern.beta_star,
+                cum_ask_rate=ask_rate(log) if log.acquisitions else 0.0,
+                n_labelled=len(fork.labelled),
+                n_unlabelled=int(fork.unlabelled.sum()),
+            )
+        )
+    return [(fork, group) for fork, (_, group) in zip(forks, splits.values())]
 
 
 def _pick(config: ExperimentConfig, run: _Run,

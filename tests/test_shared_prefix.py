@@ -1,18 +1,20 @@
-"""Seed-runs whose configs differ only in `strategy` share their prefix, the
-epochs up to the first acquisition event's picks: a grid computes it once
-per seed and forks it, and each fork writes the bytes its run writes alone."""
+"""Seed-runs whose configs differ only in `strategy` share every epoch up to
+the event where their decisions first differ: a grid computes such epochs
+once per seed and forks its state where the decisions split, and each run
+writes the bytes it writes alone."""
 
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import soqal.cli
 import soqal.engine
 import soqal.oracle
 from soqal.cli import main
-from soqal.config import ExperimentConfig, apply_setting, load_config
-from soqal.engine import prefix_key, run_experiment, shared_prefix
+from soqal.config import ExperimentConfig, apply_setting, load_config, value_separator
+from soqal.engine import prefix_key, run_experiment, shared_runs
 from soqal.results import write_result_csv
 from soqal.strategy import STRATEGY_NAMES
 
@@ -38,7 +40,7 @@ def strategy_args(names):
 
 
 def alone_bytes(config, seed, path):
-    """The result file of (config, seed) run outside any shared-prefix scope."""
+    """The result file of (config, seed) run outside any `shared_runs` scope."""
     write_result_csv(run_experiment(config, seed), config, str(path))
     return path.read_bytes()
 
@@ -84,19 +86,87 @@ class TestSharedPrefixEquality:
                 assert written == alone_bytes(config, seed, tmp_path / f"{name}_{seed}.csv")
 
     def test_strategy_sweep_writes_the_bytes_of_each_run_alone(self, tmp_path, monkeypatch):
-        """A sweep over a strategy setting shares prefixes too; here every run
-        of a group draws from its own copy of the decision stream."""
+        """A sweep over a strategy setting shares epochs too; here every run
+        of a group draws from its own decision stream."""
         cfg = grid_config(tmp_path, "strategy.name = epsilon-greedy\n")
         trained = counting(monkeypatch, soqal.engine, "train_epoch")
         assert main(["sweep", "--config", cfg, "--param", "strategy.epsilon0",
                      "--values", "0.3,0.6,0.9", "--out", str(tmp_path / "sweep")]) == 0
-        assert len(trained) == 2 * PERIOD + 6 * (EPOCHS - PERIOD)
+        # The event's two picks split each seed's three runs into two
+        # branches: seed 0 asks for both picks at 0.6 and 0.9 and for neither
+        # at 0.3; seed 1 asks for both at 0.9 and for the first at 0.3 and 0.6.
+        assert len(trained) == 2 * PERIOD + 2 * 2 * (EPOCHS - PERIOD)
         for value in ("0.3", "0.6", "0.9"):
             config = apply_setting(load_config(cfg), "strategy.epsilon0", value)
             for seed in config.seeds:
                 written = (tmp_path / "sweep" / f"sweep_strategy.epsilon0_{value}"
                            / f"results_{seed}.csv").read_bytes()
                 assert written == alone_bytes(config, seed, tmp_path / f"{value}_{seed}.csv")
+
+    def test_runs_whose_decisions_never_differ_train_once(self, tmp_path, monkeypatch):
+        """At S = 1.0 the gate is never trusted, so soqal asks on every pick,
+        as full-oracle does: the two runs of a seed are one branch to the end."""
+        cfg = grid_config(tmp_path, "training.epochs = 16\n")
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        strategies = ("full-oracle", "soqal")
+        assert main(["run", "--config", cfg, *strategy_args(strategies), "--set", "strategy.S=1.0",
+                     "--out", str(tmp_path / "grid")]) == 0
+        assert len(trained) == 2 * 16  # one run's epochs per seed
+        assert forks == []
+        for name in strategies:
+            config = apply_setting(apply_setting(load_config(cfg), "strategy.name", name),
+                                   "strategy.S", "1.0")
+            for seed in config.seeds:
+                log = run_experiment(config, seed)
+                assert len(log.acquisitions) > 0
+                assert all(a.source == "oracle" for a in log.acquisitions)
+                written = (tmp_path / "grid" / name / f"results_{seed}.csv").read_bytes()
+                assert written == alone_bytes(config, seed, tmp_path / f"{name}_{seed}.csv")
+
+    def test_each_run_keeps_its_own_decision_stream(self, tmp_path, monkeypatch):
+        """epsilon-greedy at epsilon0 = 1 asks on every pick of event 0, as
+        full-oracle does, but draws one uniform per pick, which full-oracle
+        never does; two such runs draw the same uniforms from their own
+        streams.  All three share event 0 and split at event 1 as their
+        streams and decays say."""
+        base = load_config(grid_config(tmp_path, "training.epochs = 12\n"
+                                                 "active_learning.b = 0.5\n"))
+        variants = [("strategy.name=full-oracle",),
+                    ("strategy.name=epsilon-greedy", "strategy.epsilon.d=0.5"),
+                    ("strategy.name=epsilon-greedy", "strategy.epsilon.d=0.3")]
+        configs = []
+        for settings in variants:
+            config = base
+            for setting in settings:
+                config = apply_setting(config, *setting.split("="))
+            configs.append(config)
+        trained = counting(monkeypatch, soqal.engine, "train_epoch")
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        grouped = {}
+        for seed in base.seeds:
+            runs = [(config, seed) for config in configs]
+            with shared_runs(runs):
+                for i, (config, _) in enumerate(runs):
+                    grouped[i, seed] = alone_bytes(config, seed, tmp_path / f"g{i}_{seed}.csv")
+        # Events at epochs 5 and 10.  Seed 0: the two decays decide alike at
+        # event 1, so two branches; seed 1: three.
+        assert len(trained) == (10 + 2 * 2) + (10 + 3 * 2)
+        assert len(forks) == 1 + 2
+        monkeypatch.undo()
+        for i, config in enumerate(configs):
+            for seed in base.seeds:
+                assert grouped[i, seed] == alone_bytes(config, seed, tmp_path / f"a{i}_{seed}.csv")
+        # An epsilon-greedy run asks on every pick of event 0, then where its
+        # own stream's next uniforms fall below epsilon0 * d.
+        for config in configs[1:]:
+            for seed in base.seeds:
+                acquired = run_experiment(config, seed).acquisitions
+                n0 = sum(a.epoch == PERIOD for a in acquired)
+                stream = np.random.default_rng(np.random.SeedSequence(seed).spawn(5)[3])
+                draws = stream.random(len(acquired))
+                assert [a.source == "oracle" for a in acquired] == [True] * n0 + list(
+                    draws[n0:] < config.strategy.epsilon_decay)
 
     def test_b_one_empties_the_pool_at_the_shared_event(self, tmp_path):
         config = apply_setting(load_config(grid_config(tmp_path, "active_learning.b = 1.0\n")),
@@ -107,32 +177,33 @@ class TestSharedPrefixEquality:
 
 
 class TestSharedPrefixIsolation:
-    @pytest.mark.parametrize("first, second", [
-        (["oracle.gamma=0.1"], ["oracle.gamma=0.3"]),
-        (["gate.chernoff_mode=full-bound"], ["gate.chernoff_mode=exponent-only"]),
-        (["network.dropout=0.3"], ["network.dropout=0.2"]),
-        (["training.learning_rate=0.0"], ["training.learning_rate=-0.0"]),
-        (["seeds=0"], ["seeds=1"]),
+    @pytest.mark.parametrize("param, values", [
+        ("oracle.gamma", "0.1,0.3"),
+        ("gate.chernoff_mode", "full-bound,exponent-only"),
+        ("network.dropout", "0.3,0.2"),
+        ("training.learning_rate", "0.0,-0.0"),
+        ("seeds", "0;1"),
     ], ids=["gamma", "chernoff-mode", "dropout", "signed-zero-rate", "seed"])
-    def test_configs_differing_outside_strategy_share_no_prefix(
-        self, tmp_path, monkeypatch, first, second
+    def test_configs_differing_outside_strategy_share_nothing(
+        self, tmp_path, monkeypatch, param, values
     ):
-        base = load_config(grid_config(tmp_path, "oracle.kind = random-flip\n"))
+        cfg = grid_config(tmp_path, "oracle.kind = random-flip\nseeds = 0\n")
         runs = []
-        for name, settings in [("soqal", first), ("epsilon-greedy", second)]:
-            config = apply_setting(base, "strategy.name", name)
-            for setting in settings:
-                config = apply_setting(config, *setting.split("="))
+        for value in values.split(value_separator(param)):
+            config = apply_setting(load_config(cfg), param, value)
             runs.append((config, config.seeds[0]))
         assert prefix_key(*runs[0]) != prefix_key(*runs[1])
-        alone = [alone_bytes(cfg, seed, tmp_path / f"alone{i}.csv")
-                 for i, (cfg, seed) in enumerate(runs)]
+        with pytest.raises(ValueError, match="one prefix_key"):
+            with shared_runs(runs):
+                pass
         trained = counting(monkeypatch, soqal.engine, "train_epoch")
-        with shared_prefix(len(runs)):
-            grouped = [alone_bytes(cfg, seed, tmp_path / f"scoped{i}.csv")
-                       for i, (cfg, seed) in enumerate(runs)]
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg, "--param", param, "--values", values,
+                     "--out", str(out)]) == 0
         assert len(trained) == 2 * EPOCHS  # each run trains every epoch itself
-        assert grouped == alone
+        for value, (config, seed) in zip(values.split(value_separator(param)), runs):
+            written = (out / f"sweep_{param}_{value}" / f"results_{seed}.csv").read_bytes()
+            assert written == alone_bytes(config, seed, tmp_path / f"{value}.csv")
 
     def test_prefix_key_ignores_only_strategy_settings(self):
         config = ExperimentConfig()
@@ -150,11 +221,13 @@ class TestSharedPrefixIsolation:
         strategies = ("soqal", "entropy-response", "epsilon-greedy")
         assert main(["run", "--config", cfg, *strategy_args(strategies),
                      "--out", str(tmp_path / "grid")]) == 0
-        assert len(trained) == 2 * PERIOD + 6 * (EPOCHS - PERIOD)
+        # Per seed: soqal self-labels both picks of the one event, the other
+        # two ask for both, so two branches train the last three epochs.
+        assert len(trained) == 2 * PERIOD + 2 * 2 * (EPOCHS - PERIOD)
         assert len(tables) == 2
-        assert len(forks) == 2 * 2  # per seed: the snapshot, and one copy for the second run
+        assert len(forks) == 2  # per seed, one for the second branch
 
-    def test_one_strategy_grid_takes_no_snapshot(self, tmp_path, monkeypatch):
+    def test_one_strategy_grid_forks_nothing(self, tmp_path, monkeypatch):
         trained = counting(monkeypatch, soqal.engine, "train_epoch")
         forks = counting(monkeypatch, soqal.engine, "_fork")
         assert main(["run", "--config", grid_config(tmp_path),
