@@ -203,6 +203,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v.strip() for v in args.values.split(value_separator(args.param)) if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    for value in values:  # each names a directory inside --out
+        if os.sep in value or (os.altsep and os.altsep in value):
+            raise ConfigError(f"sweep value {value!r} holds a path separator")
     config = _prepare(args, [])
     return _run_grids(config, args.param, values,
                       lambda value: os.path.join(config.output_dir, f"sweep_{args.param}_{value}"),

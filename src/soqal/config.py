@@ -236,6 +236,9 @@ def validate(config: ExperimentConfig) -> None:
             (d.kind != "gaussian-blobs" or d.features >= d.classes, "dataset.features"),
             (d.kind != "ring-vs-blob" or d.classes == 2, "dataset.classes"),
             (d.kind == "gaussian-blobs" or d.features >= 2, "dataset.features"),  # 2-D kinds
+            # noisy-sine-classes offsets the top class by separation * (classes - 1).
+            (d.kind != "noisy-sine-classes" or math.isfinite(d.separation * (d.classes - 1)),
+             "dataset.separation"),
         ]
     # A `# cfg` line is read back through `str.splitlines`: a text value
     # holding any line break it splits on would not survive it.

@@ -11,26 +11,25 @@ strategies that consume no randomness leave the shared streams untouched.
 A run's mutable state is a `_Run`: the network; the network and oracle RNG
 streams; the `labelled` id list, whose append order fixes the training
 permutation; the `assigned` training labels by dataset id, -1 where none
-is assigned (true labels reach evaluation and the oracle, never training);
-the `unlabelled` mask over dataset ids; and the log.  A run's decision
-stream is kept outside its `_Run`, since runs that share one `_Run` each
-draw from their own (see below).  The dataset, split, standardized
-features and oracle are read-only, in `_Data`.  An event runs at every
-multiple of the period while the pool is non-empty, so its index comes
-from the epoch: k - 1 at epoch k * period.
+is assigned (true labels reach evaluation and the oracle, never training),
+so the unlabelled pool is the train ids still at -1; the log; and its
+members (below).  The dataset, split, standardized features and oracle are
+read-only, in `_Data`.  An event runs at every multiple of the period while
+the pool is non-empty, so its index comes from the epoch: k - 1 at k * period.
 
 Only an event's `decide` reads `config.strategy`, and equal decisions (the
 returned label arrays) mean equal oracle draws and equal `assigned` labels.
 So the runs of one seed whose configs differ only in the strategy stay
 equal, but for their decision streams, for as long as their decisions
 agree.  `_run_branches` advances such a group in lockstep as branches: a
-branch is one `_Run` and its members, the runs whose decisions have agreed
-so far, each with its own decision stream.  At each epoch a branch trains
-and picks once, every member decides, and the members are grouped by the
-label arrays they return; each group after the first gets a deep copy of
-the branch, taken before the oracle labels it.  A run that never splits
-off computes nothing of its own, and a group holds at most one `_Run` per
-distinct decision history.  A run alone is a group of one.
+branch is one `_Run` whose members are the runs whose decisions have agreed
+so far, each as its index in the group, its strategy and its own decision
+stream.  At each epoch a branch trains and picks once, every member
+decides, and the members are grouped by the label arrays they return; each
+group after the first moves, as it is, to a deep copy of the branch taken
+before the oracle labels it, so no decision stream is ever copied.  A run
+that never splits off computes nothing of its own, and a group holds at
+most one `_Run` per distinct decision history.  A run alone is a group of one.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ class _Run:
     oracle_rng: np.random.Generator
     labelled: list[int]
     assigned: np.ndarray
-    unlabelled: np.ndarray
     log: ResultLog
+    members: list[tuple[int, StrategyConfig, np.random.Generator]]
 
 
 # The `shared_runs` scope: each run's `_run_key` mapped to the run, and to
@@ -146,7 +145,14 @@ def prefix_key(config: ExperimentConfig, seed: int) -> tuple:
 def shared_runs(runs: list[tuple[ExperimentConfig, int]]) -> Iterator[None]:
     """Scope the `run_experiment` calls of `runs`, (config, seed) pairs of
     one `prefix_key`: the first such call computes them all in one group,
-    and each returns its own run's log; a call of another run runs alone."""
+    and each returns its own run's log; a call of another run runs alone.
+
+    The CLI keeps one `run_experiment(config, seed)` call per seed-run, as
+    perfbench's `SetupProbe` wraps that call to time set-up and to read each
+    run's acquisitions (for `label_accuracy` and `ask_rate`), and
+    `test_run_experiment_gets_config_and_seed_once_per_seed_run` pins it.
+    So this scope can go only with a benchmark change that moves the probe.
+    """
     if len({prefix_key(*run) for run in runs}) > 1:
         raise ValueError("shared_runs takes runs of one prefix_key")
     token = _SCOPE.set({_run_key(*run): run for run in runs})
@@ -167,13 +173,14 @@ def run_experiment(config: ExperimentConfig, seed: int) -> ResultLog:
 
 
 def _fork(run: _Run) -> _Run:
-    """A deep copy of `run` that shares its read-only `_Data`."""
-    return copy.deepcopy(run, {id(run.data): run.data})
+    """A deep copy of `run` that shares its read-only `_Data` and has no members."""
+    return copy.deepcopy(run, {id(run.data): run.data, id(run.members): []})
 
 
-def _start(config: ExperimentConfig, seed: int) -> tuple[_Run, np.random.SeedSequence]:
-    """A run before its first epoch: its data, network, streams and pools,
-    and the seed of its decision stream."""
+def _start(runs: list[tuple[ExperimentConfig, int]]) -> _Run:
+    """The first branch of `runs`, before its first epoch: their shared data,
+    network, streams and pools, and every run as a member."""
+    config, seed = runs[0]
     root = np.random.SeedSequence(int(seed))
     synth_ss, split_ss, net_ss, decision_ss, oracle_ss = root.spawn(5)
 
@@ -205,13 +212,11 @@ def _start(config: ExperimentConfig, seed: int) -> tuple[_Run, np.random.SeedSeq
 
     assigned = np.full(len(dataset.labels), -1, dtype=np.int64)
     assigned[initial] = dataset.labels[initial]
-    unlabelled = np.zeros(len(dataset.labels), dtype=bool)
-    unlabelled[parts.train] = True
-    unlabelled[initial] = False
-    run = _Run(_Data(dataset, parts, features, oracle), net, net_rng, oracle_rng,
-               initial.tolist(), assigned, unlabelled,
-               ResultLog(int(seed), stratified_split=parts.stratified))
-    return run, decision_ss
+    log = ResultLog(int(seed), stratified_split=parts.stratified)
+    members = [(i, cfg.strategy, np.random.default_rng(decision_ss))
+               for i, (cfg, _) in enumerate(runs)]
+    return _Run(_Data(dataset, parts, features, oracle), net, net_rng, oracle_rng,
+                initial.tolist(), assigned, log, members)
 
 
 def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
@@ -219,38 +224,32 @@ def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
     in lockstep branches (see the module docstring)."""
     for config, _ in runs:
         validate(config)
-    config, seed = runs[0]
-    run, decision_ss = _start(config, seed)
-    # A member is a run's index in `runs` and that run's own decision stream.
-    branches = [(run, [(i, np.random.default_rng(decision_ss)) for i in range(len(runs))])]
+    config = runs[0][0]
+    branches = [_start(runs)]
     for epoch in range(1, config.training.epochs + 1):
-        branches = [branch for run, members in branches
-                    for branch in _step(runs, run, members, epoch)]
-        if not branches[0][0].unlabelled.any():  # all branch pools have one size
+        branches = [fork for run in branches for fork in _step(config, run, epoch)]
+        if not branches[0].log.epochs[-1].n_unlabelled:  # all branch pools have one size
             break
 
     logs: list[ResultLog] = [None] * len(runs)
-    for run, members in branches:
+    for run in branches:
         dataset, parts, features, _ = run.data
         run.log.test_auc = auc_ovr(run.net.forward_batch(features[parts.test])[0],
                                    dataset.labels[parts.test])
-        for index, _ in members:
+        for index, _, _ in run.members:
             logs[index] = run.log
     return logs
 
 
-def _step(runs: list[tuple[ExperimentConfig, int]], run: _Run, members: list,
-          epoch: int) -> list[tuple[_Run, list]]:
+def _step(config: ExperimentConfig, run: _Run, epoch: int) -> list[_Run]:
     """One epoch of a branch: train, refit the gate, score validation and,
     on an acquisition epoch, pick, let each member decide and label the
-    picks once per distinct decision.  Returns the branches it ends as."""
-    config = runs[0][0]
+    picks once per distinct decision.  `config` gives every setting but the
+    strategy, which each member brings.  Returns the branches it ends as."""
     dataset, parts, features, oracle = run.data
     x_lab, y_lab = features[run.labelled], run.assigned[run.labelled]
-    stats = train_epoch(
-        run.net, x_lab, y_lab, config.training.learning_rate, config.training.batch_size,
-        run.net_rng,
-    )
+    stats = train_epoch(run.net, x_lab, y_lab, config.training.learning_rate,
+                        config.training.batch_size, run.net_rng)
 
     # Drop the forward cache: kept to the next epoch, it raises peak memory.
     lab_probs, lab_gate = run.net.forward_batch(x_lab)[:2]
@@ -262,19 +261,19 @@ def _step(runs: list[tuple[ExperimentConfig, int]], run: _Run, members: list,
 
     val_auc = auc_ovr(run.net.forward_batch(features[parts.val])[0], dataset.labels[parts.val])
 
-    al, splits = config.active_learning, {b"": (None, members)}
-    if epoch % al.period == 0 and al.b_frac > 0.0 and run.unlabelled.any():
+    al, splits = config.active_learning, {b"": (None, run.members)}
+    if epoch % al.period == 0 and al.b_frac > 0.0 and len(run.labelled) < len(parts.train):
         picked, gate_outputs, mean_probs = _pick(config, run, epoch)
         splits = {}
-        for index, rng in members:
-            labels = decide(runs[index][0].strategy, epoch // al.period - 1, gate_stats,
+        for index, strategy, rng in run.members:
+            labels = decide(strategy, epoch // al.period - 1, gate_stats,
                             gate_outputs, mean_probs, rng)
-            splits.setdefault(labels.tobytes(), (labels, []))[1].append((index, rng))
+            splits.setdefault(labels.tobytes(), (labels, []))[1].append((index, strategy, rng))
     # Every copy is taken before the oracle labels the run.
     forks = [run, *(_fork(run) for _ in range(len(splits) - 1))]
     chern = chernoff_bound(gate_stats, config.chernoff_mode)
-    for fork, (labels, _) in zip(forks, splits.values()):
-        log = fork.log
+    for fork, (labels, members) in zip(forks, splits.values()):
+        fork.members, log = members, fork.log
         if labels is not None:
             for instance_id, label in zip(picked, labels.tolist()):
                 true_label = int(dataset.labels[instance_id])
@@ -282,33 +281,17 @@ def _step(runs: list[tuple[ExperimentConfig, int]], run: _Run, members: list,
                 if asked:
                     label = oracle.label(instance_id, true_label, fork.oracle_rng)
                 fork.assigned[instance_id] = label
-                log.acquisitions.append(
-                    AcquisitionRecord(
-                        epoch=epoch,
-                        instance_id=instance_id,
-                        source="oracle" if asked else "self",
-                        assigned_label=int(label),
-                        true_label=true_label,
-                    )
-                )
-            fork.unlabelled[picked] = False
+                log.acquisitions.append(AcquisitionRecord(
+                    epoch=epoch, instance_id=instance_id, source="oracle" if asked else "self",
+                    assigned_label=int(label), true_label=true_label))
             fork.labelled += picked
 
-        log.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=stats.mean_class_loss,
-                gate_loss=stats.mean_gate_loss,
-                val_auc=val_auc,
-                d_hellinger=gate_stats.d_hellinger,
-                chernoff_bound=chern.bound,
-                beta_star=chern.beta_star,
-                cum_ask_rate=ask_rate(log) if log.acquisitions else 0.0,
-                n_labelled=len(fork.labelled),
-                n_unlabelled=int(fork.unlabelled.sum()),
-            )
-        )
-    return [(fork, group) for fork, (_, group) in zip(forks, splits.values())]
+        log.epochs.append(EpochRecord(
+            epoch=epoch, train_loss=stats.mean_class_loss, gate_loss=stats.mean_gate_loss,
+            val_auc=val_auc, d_hellinger=gate_stats.d_hellinger, chernoff_bound=chern.bound,
+            beta_star=chern.beta_star, cum_ask_rate=ask_rate(log) if log.acquisitions else 0.0,
+            n_labelled=len(fork.labelled), n_unlabelled=len(parts.train) - len(fork.labelled)))
+    return forks
 
 
 def _pick(config: ExperimentConfig, run: _Run,
@@ -319,10 +302,12 @@ def _pick(config: ExperimentConfig, run: _Run,
     values and the row means of their posterior samples.
     """
     seed, net, features = run.log.seed, run.net, run.data.features
-    candidates = np.flatnonzero(run.unlabelled)
+    train = run.data.parts.train
+    candidates = train[run.assigned[train] < 0]
     al = config.active_learning
     # Strategy draws consume the decision stream in instance-id order; the
-    # candidates are in id order, so sorted positions give sorted ids.
+    # candidates keep the sorted train ids' order, so sorted positions give
+    # sorted ids.
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
         rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))

@@ -338,12 +338,16 @@ class TestRun:
             (["network.hidden=-3"], "network.hidden"),
             (["dataset.train_frac=0.00001", "dataset.val_frac=0.5", "dataset.test_frac=0.49999"],
              "dataset.train_frac"),
+            # Finite, but the top class's offset, separation * (classes - 1), is not.
+            (["dataset.kind=noisy-sine-classes", "dataset.classes=3", "dataset.separation=1e308"],
+             "dataset.separation"),
         ],
         ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
              "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate",
              "too-few-instances", "fractions-not-summing-to-one", "zero-epsilon-decay",
              "zero-init-labelled", "no-hidden-layer", "zero-width-layer",
-             "zero-width-second-layer", "negative-width-layer", "zero-row-train-split"],
+             "zero-width-second-layer", "negative-width-layer", "zero-row-train-split",
+             "sine-offset-overflow"],
     )
     def test_out_of_range_value_exits_one_before_writing(
         self, config_path, tmp_path, capsys, settings, key
@@ -648,6 +652,18 @@ class TestSweep:
         header = comment_lines(out / "sweep_summary.csv")
         assert not any(line.startswith("# cfg strategy.S = ") for line in header)
         assert "# cfg dataset.n = 120" in header
+
+    def test_value_with_a_path_separator_exits_one_before_writing(
+        self, config_path, tmp_path, capsys
+    ):
+        """A value names a directory inside --out, so one holding a separator
+        could write its variant outside it."""
+        out = tmp_path / "sw" / "out"
+        value = os.path.join("x", "..", "..", "..", "escaped")
+        assert main(["sweep", "--config", config_path, "--param", "dataset.csv_path",
+                     "--values", f"{value},y", "--out", str(out)]) == 1
+        assert repr(value) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
     def test_one_value_sweep_names_the_value_in_its_header(self, config_path, tmp_path):
         out = tmp_path / "one"
