@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +113,50 @@ def gate_values(net: Network, rows: np.ndarray) -> np.ndarray:
     return padded_calls(lambda x: net.forward_batch(x)[1], rows, MC_BLOCK_ROWS)[:len(rows)]
 
 
+class MaskStore(NamedTuple):
+    """The kept bits of MC-dropout masks, one packed row per instance id."""
+
+    key: tuple  # (seed, epoch, n_passes, widths, rate) the rows were drawn for
+    ids: np.ndarray  # sorted, distinct int64 ids in [0, MAX_ID)
+    bits: np.ndarray  # (len(ids), ceil(n_passes * sum(widths) / 8)) uint8, np.packbits rows
+
+
+def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: int,
+                  widths: list[int], rate: float) -> MaskStore:
+    """The masks of `n_passes` dropout passes through trunk layers of
+    `widths` units, for each distinct id of `ids`, drawn once and bit-packed.
+
+    Instance i's row holds the `n_passes * sum(widths)` uniforms of one
+    numpy PCG64 stream seeded by SeedSequence([seed, epoch, i]), kept where
+    they are >= rate: layer by layer, each layer's passes in turn.  So its
+    masks depend on (seed, epoch, i) alone, never on the network or on the
+    other ids.  The seeding of every stream is computed at once
+    (`stream_keys`); one generator is re-pointed at each id and fills its
+    row of a buffer of `MC_BLOCK_ROWS // n_passes` rows.
+    """
+    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    distinct = np.ones(len(ids), dtype=bool)  # np.unique would import numpy.ma
+    distinct[1:] = ids[1:] != ids[:-1]
+    ids = ids[distinct]
+    if ids.size and not (0 <= ids[0] and ids[-1] < MAX_ID):
+        raise ValueError(f"instance ids must lie in [0, {MAX_ID})")
+    keys = stream_keys(seed, epoch, ids.astype(np.uint32))
+    row_bits = n_passes * sum(widths)
+    uniforms = np.empty((max(1, MC_BLOCK_ROWS // n_passes), row_bits))
+    bits = np.empty((len(ids), -(-row_bits // 8)), dtype=np.uint8)
+    bitgen = np.random.PCG64(0)
+    draw = np.random.Generator(bitgen).random
+    stream = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    for start in range(0, len(ids), len(uniforms)):
+        block = uniforms[:len(ids) - start]
+        for row, (stream["state"], stream["inc"]) in zip(block, keys[start:start + len(block)]):
+            bitgen.state = bitgen_state
+            draw(out=row)
+        bits[start:start + len(block)] = np.packbits(block >= rate, axis=1)
+    return MaskStore((int(seed), int(epoch), n_passes, tuple(widths), rate), ids, bits)
+
+
 def mc_posteriors(
     net: Network,
     features: np.ndarray,
@@ -119,15 +164,17 @@ def mc_posteriors(
     n_passes: int,
     seed: int,
     epoch: int,
+    store: MaskStore | None = None,
 ) -> np.ndarray:
     """(len(ids), T, C) softmax rows of `n_passes` dropout passes over the
     rows `ids` of features (N, m).
 
-    Instance i draws its masks from one numpy PCG64 stream seeded by
-    SeedSequence([seed, epoch, i]), so its masks do not depend on which
-    instances share its forward call.  The seeding of every stream is
-    computed at once (`stream_keys`); one generator is re-pointed at each
-    instance and fills its row of the block's uniforms.
+    The masks are the rows of `store`, drawn by `dropout_masks` for this
+    (seed, epoch), T and the network's trunk widths and dropout rate, which
+    may hold other ids too (an event's store serves every branch of a seed
+    group); without a store, one is drawn for `ids`.  An id is looked up
+    in the store by `searchsorted`, and one the store does not hold is a
+    ValueError, never a neighbour's row.  This function draws nothing.
 
     A pass computes only the class rows.  The first trunk layer runs once
     per instance, through `padded_calls` with `per_block * T` rows per call,
@@ -138,28 +185,27 @@ def mc_posteriors(
     an instance's rows are the same bytes in any id subset for the fixed
     MC_BLOCK_ROWS (not across block sizes or BLAS builds).
     """
-    ids = np.asarray(ids)
-    if ids.size and not (0 <= ids.min() and ids.max() < MAX_ID):
-        raise ValueError(f"instance ids must lie in [0, {MAX_ID})")
-    ids = ids.astype(np.uint32)
-    keys = stream_keys(seed, epoch, ids)
+    ids = np.asarray(ids, dtype=np.int64)
     widths = [layer.weight.shape[0] for layer in net.trunk]
+    if store is None:
+        store = dropout_masks(seed, epoch, ids, n_passes, widths, net.dropout_rate)
+    if store.key != (int(seed), int(epoch), n_passes, tuple(widths), net.dropout_rate):
+        raise ValueError("the mask store was drawn for another seed, epoch, T or network")
+    at = np.searchsorted(store.ids, ids)
+    held = at < len(store.ids)
+    held[held] = store.ids[at[held]] == ids[held]
+    if not held.all():
+        raise ValueError(f"the mask store holds no masks for instance id {ids[~held][0]}")
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    uniforms = np.empty((per_block, bounds[-1]))
-    bitgen = np.random.PCG64(0)
-    draw = np.random.Generator(bitgen).random
-    stream = {"state": 0, "inc": 0}
-    bitgen_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    packed = np.empty((per_block, store.bits.shape[1]), dtype=np.uint8)
     probs = np.empty((len(ids), n_passes, net.n_classes))
     first = padded_calls(lambda x: net.trunk_layer(0, x), features[ids], per_block * n_passes)
     for start in range(0, len(ids), per_block):
         count = min(per_block, len(ids) - start)
-        for row, (stream["state"], stream["inc"]) in zip(uniforms, keys[start:start + count]):
-            bitgen.state = bitgen_state
-            draw(out=row)
-        uniforms[count:] = 1.0
-        kept = uniforms >= net.dropout_rate
+        packed[:count] = store.bits[at[start:start + count]]
+        packed[count:] = 0xFF  # padding rows: all kept
+        kept = np.unpackbits(packed, axis=1, count=bounds[-1]).view(bool)
         masks = [  # bool: `h *= mask` casts it to the exact 0.0 and 1.0 of make_masks
             kept[:, lo:hi].reshape(-1, width)
             for lo, hi, width in zip(bounds, bounds[1:], widths)

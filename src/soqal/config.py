@@ -142,22 +142,37 @@ def value_separator(key: str) -> str:
     return ";" if key in _KNOWN_KEYS and _KNOWN_KEYS[key][2] == "tuple[int, ...]" else ","
 
 
-def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
-    """Return a new config with one dotted key set from its string form."""
+def _parse_setting(key: str, raw: str):
+    """`key`'s typed value from its string form."""
     if key not in _KNOWN_KEYS:
         raise ConfigError(f"unknown key: {key}")
-    section, attr, annotation = _KNOWN_KEYS[key]
     try:
-        value = parse(annotation, raw)
+        return parse(_KNOWN_KEYS[key][2], raw)
     except (TypeError, ValueError):
         raise ConfigError(f"key {key}: cannot parse value {raw!r}") from None
-    if section is None:
-        return replace(config, **{attr: value})
-    return replace(config, **{section: replace(getattr(config, section), **{attr: value})})
+
+
+def _with_values(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """`config` with each key of `values` set to its typed value: one
+    `replace` per section touched and one for the whole."""
+    top, sections = {}, {}
+    for key, value in values.items():
+        section, attr, _ = _KNOWN_KEYS[key]
+        (top if section is None else sections.setdefault(section, {}))[attr] = value
+    for section, attrs in sections.items():
+        top[section] = replace(getattr(config, section), **attrs)
+    return replace(config, **top)
+
+
+def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:
+    """Return a new config with one dotted key set from its string form."""
+    return _with_values(config, {key: _parse_setting(key, raw)})
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    config = ExperimentConfig()
+    """The config of ``key = value`` lines over the defaults; a repeated
+    key takes its last value."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -166,10 +181,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, _, raw = stripped.partition("=")
         try:
-            config = apply_setting(config, key.strip(), raw.strip())
+            values[key.strip()] = _parse_setting(key.strip(), raw.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    return config
+    return _with_values(ExperimentConfig(), values)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -30,6 +30,12 @@ group after the first moves, as it is, to a deep copy of the branch taken
 before the oracle labels it, so no decision stream is ever copied.  A run
 that never splits off computes nothing of its own, and a group holds at
 most one `_Run` per distinct decision history.  A run alone is a group of one.
+
+An instance's MC-dropout masks depend only on (seed, epoch, id), never on
+the network, so at an acquisition epoch `_events` draws them once for the
+group: one bit-packed `MaskStore` over the union of every branch's forward
+ids (its candidates, or under `random` only its picks), which each
+branch's MC pass reads.  A lone run's store holds exactly its own ids.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acquisition import bald_mcd, gate_values, mc_posteriors, predictive_entropy, select_top_b
+from .acquisition import MaskStore, bald_mcd, dropout_masks, gate_values, mc_posteriors
+from .acquisition import predictive_entropy, select_top_b
 from .config import ExperimentConfig, StrategyConfig, canonical_lines, validate
 from .data import Dataset, SplitIndices, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError
@@ -227,7 +234,9 @@ def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
     config = runs[0][0]
     branches = [_start(runs)]
     for epoch in range(1, config.training.epochs + 1):
-        branches = [fork for run in branches for fork in _step(config, run, epoch)]
+        events = _events(config, branches, epoch)
+        branches = [fork for run, event in zip(branches, events)
+                    for fork in _step(config, run, epoch, event)]
         if not branches[0].log.epochs[-1].n_unlabelled:  # all branch pools have one size
             break
 
@@ -241,11 +250,43 @@ def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
     return logs
 
 
-def _step(config: ExperimentConfig, run: _Run, epoch: int) -> list[_Run]:
+def _events(config: ExperimentConfig, branches: list[_Run],
+            epoch: int) -> list[tuple[np.ndarray, MaskStore] | None]:
+    """Each branch's acquisition event at `epoch`: the ids its MC pass
+    forwards and one store of the dropout masks of every branch's ids,
+    drawn once; None for each branch on any other epoch.
+
+    A branch forwards its candidates, the sorted train ids still
+    unlabelled, or under `random` only its picks among them.  The picks'
+    positions come from a (seed, epoch) stream and the pool size, which
+    every branch shares.
+    """
+    al, first = config.active_learning, branches[0]
+    train = first.data.parts.train
+    # All branch pools have one size.
+    if not (epoch % al.period == 0 and al.b_frac > 0.0 and len(first.labelled) < len(train)):
+        return [None] * len(branches)
+    forward = [train[run.assigned[train] < 0] for run in branches]
+    # Strategy draws consume the decision stream in instance-id order; the
+    # candidates keep the sorted train ids' order, so sorted positions give
+    # sorted ids.
+    if al.acquisition == "random":
+        epoch_rng = np.random.default_rng(np.random.SeedSequence([first.log.seed, epoch]))
+        rows = sorted(select_top_b(epoch_rng.random(len(forward[0])), al.b_frac))
+        forward = [candidates[rows] for candidates in forward]
+    widths = [layer.weight.shape[0] for layer in first.net.trunk]
+    store = dropout_masks(first.log.seed, epoch, np.concatenate(forward), al.mc_passes, widths,
+                          first.net.dropout_rate)
+    return [(ids, store) for ids in forward]
+
+
+def _step(config: ExperimentConfig, run: _Run, epoch: int,
+          event: tuple[np.ndarray, MaskStore] | None) -> list[_Run]:
     """One epoch of a branch: train, refit the gate, score validation and,
-    on an acquisition epoch, pick, let each member decide and label the
-    picks once per distinct decision.  `config` gives every setting but the
-    strategy, which each member brings.  Returns the branches it ends as."""
+    on an acquisition epoch (`event` from `_events`), pick, let each member
+    decide and label the picks once per distinct decision.  `config` gives
+    every setting but the strategy, which each member brings.  Returns the
+    branches it ends as."""
     dataset, parts, features, oracle = run.data
     x_lab, y_lab = features[run.labelled], run.assigned[run.labelled]
     stats = train_epoch(run.net, x_lab, y_lab, config.training.learning_rate,
@@ -262,8 +303,8 @@ def _step(config: ExperimentConfig, run: _Run, epoch: int) -> list[_Run]:
     val_auc = auc_ovr(run.net.forward_batch(features[parts.val])[0], dataset.labels[parts.val])
 
     al, splits = config.active_learning, {b"": (None, run.members)}
-    if epoch % al.period == 0 and al.b_frac > 0.0 and len(run.labelled) < len(parts.train):
-        picked, gate_outputs, mean_probs = _pick(config, run, epoch)
+    if event is not None:
+        picked, gate_outputs, mean_probs = _pick(config, run, epoch, *event)
         splits = {}
         for index, strategy, rng in run.members:
             labels = decide(strategy, epoch // al.period - 1, gate_stats,
@@ -294,28 +335,20 @@ def _step(config: ExperimentConfig, run: _Run, epoch: int) -> list[_Run]:
     return forks
 
 
-def _pick(config: ExperimentConfig, run: _Run,
-          epoch: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """One acquisition event up to its decisions: score and select.
+def _pick(config: ExperimentConfig, run: _Run, epoch: int, ids: np.ndarray,
+          store: MaskStore) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """One acquisition event up to its decisions: score the forward `ids`
+    with the event's mask store and select (under `random`, `ids` are the
+    picks).
 
     Returns the picked ids, in id order, their deterministic-pass gate
     values and the row means of their posterior samples.
     """
-    seed, net, features = run.log.seed, run.net, run.data.features
-    train = run.data.parts.train
-    candidates = train[run.assigned[train] < 0]
-    al = config.active_learning
-    # Strategy draws consume the decision stream in instance-id order; the
-    # candidates keep the sorted train ids' order, so sorted positions give
-    # sorted ids.
-    if al.acquisition == "random":
-        epoch_rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
-        rows = sorted(select_top_b(epoch_rng.random(len(candidates)), al.b_frac))
-        probs = mc_posteriors(net, features, candidates[rows], al.mc_passes, seed, epoch)
-    else:
-        probs = mc_posteriors(net, features, candidates, al.mc_passes, seed, epoch)
+    net, features, al = run.net, run.data.features, config.active_learning
+    probs = mc_posteriors(net, features, ids, al.mc_passes, run.log.seed, epoch, store)
+    if al.acquisition != "random":
         scorer = bald_mcd if al.acquisition == "bald-mcd" else predictive_entropy
         rows = sorted(select_top_b(scorer(probs), al.b_frac))
-        probs = probs[rows]
-    picked = candidates[rows].tolist()
+        ids, probs = ids[rows], probs[rows]
+    picked = ids.tolist()
     return picked, gate_values(net, features[picked]), probs.mean(axis=1)

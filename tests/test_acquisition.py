@@ -10,6 +10,7 @@ from scipy.stats import entropy as scipy_entropy
 from soqal import acquisition
 from soqal.acquisition import (
     bald_mcd,
+    dropout_masks,
     gate_values,
     mc_posteriors,
     predictive_entropy,
@@ -213,6 +214,53 @@ class TestBlockedForward:
             mc_posteriors(net, xs, np.arange(n), PASSES, 7, 5),
             expected[: n * PASSES].reshape(n, PASSES, 3),
         )
+
+
+class TestMaskStore:
+    def test_rows_are_the_packed_kept_bits_of_each_distinct_id(self):
+        net = Network.initialize(3, 4, [8, 5], dropout_rate=0.4, seed=0)
+        store = dropout_masks(7, 2, [4, 1, 4, 2], PASSES, [8, 5], 0.4)
+        assert store.ids.tolist() == [1, 2, 4]
+        assert store.bits.dtype == np.uint8
+        assert store.bits.shape == (3, math.ceil(PASSES * 13 / 8))
+        for i, row in zip(store.ids, store.bits):
+            rng = np.random.default_rng(np.random.SeedSequence([7, 2, int(i)]))
+            expected = np.concatenate([m.ravel() for m in net.make_masks(PASSES, rng)])
+            np.testing.assert_array_equal(np.unpackbits(row, count=PASSES * 13).view(bool),
+                                          expected)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, POOL - 1), min_size=1, max_size=2 * POOL), st.data())
+    def test_rows_from_a_shared_store_equal_a_store_less_call(self, held, data):
+        # A store drawn for the union of several branches' ids serves any
+        # subset of them, in any order, with the rows a call drawing only
+        # that subset's masks computes.
+        net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
+        xs = np.random.default_rng(1).standard_normal((POOL, 5))
+        store = dropout_masks(3, 1, held, PASSES, [32, 32], 0.4)
+        ids = data.draw(st.lists(st.sampled_from(held), unique=True))
+        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1, store),
+                                      mc_posteriors(net, xs, ids, PASSES, 3, 1))
+
+    @pytest.mark.parametrize("held, ids, missing", [
+        ([2, 5, 9], [5, 7, 9], 7),
+        ([2, 5, 9], [9, 11], 11),
+        ([2, 5, 9], [0, 2], 0),
+        ([], [3], 3),
+    ], ids=["between", "above", "below", "empty-store"])
+    def test_an_id_the_store_does_not_hold_is_rejected(self, held, ids, missing):
+        store = dropout_masks(3, 1, held, PASSES, [8], 0.4)
+        with pytest.raises(ValueError, match=f"no masks for instance id {missing}$"):
+            mc_posteriors(make_net(0.4), np.ones((12, 3)), ids, PASSES, 3, 1, store)
+
+    @pytest.mark.parametrize("seed, epoch, passes, widths, rate", [
+        (4, 1, PASSES, [8], 0.4), (3, 2, PASSES, [8], 0.4), (3, 1, 10, [8], 0.4),
+        (3, 1, PASSES, [9], 0.4), (3, 1, PASSES, [8], 0.3),
+    ], ids=["seed", "epoch", "passes", "widths", "rate"])
+    def test_a_store_drawn_for_another_key_is_rejected(self, seed, epoch, passes, widths, rate):
+        store = dropout_masks(seed, epoch, [0, 1], passes, widths, rate)
+        with pytest.raises(ValueError, match="another seed, epoch, T or network"):
+            mc_posteriors(make_net(0.4), np.ones((2, 3)), [0, 1], PASSES, 3, 1, store)
 
 
 class TestGateValues:

@@ -75,6 +75,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("dataset.kind gaussian-blobs\n")
 
+    def test_repeated_key_takes_its_last_value(self):
+        cfg = parse_config_text("dataset.n = 500\nstrategy.S = 0.3\ndataset.n = 700\n")
+        assert (cfg.dataset.n, cfg.strategy.hellinger_threshold) == (700, 0.3)
+
+    def test_error_names_the_line_of_a_repeated_key(self):
+        with pytest.raises(ConfigError, match=r"^line 3: key dataset.n: cannot parse"):
+            parse_config_text("dataset.n = 500\n\ndataset.n = lots\n")
+
     def test_boolean_parsing(self):
         assert parse_config_text("gate.detached = true\n").network.gate_detached
         assert not parse_config_text("gate.detached = false\n").network.gate_detached

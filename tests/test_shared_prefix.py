@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import soqal.acquisition
 import soqal.cli
 import soqal.engine
 import soqal.oracle
@@ -226,6 +227,29 @@ class TestSharedPrefixIsolation:
         assert len(trained) == 2 * PERIOD + 2 * 2 * (EPOCHS - PERIOD)
         assert len(tables) == 2
         assert len(forks) == 2  # per seed, one for the second branch
+
+    def test_a_grid_seeds_each_mask_stream_once_per_group(self, tmp_path, monkeypatch):
+        """After the split at epoch 5 two branches forward nearly the same
+        candidates at epochs 10 and 15; each (seed, epoch, id) mask stream
+        is seeded, and so drawn, once for both."""
+        cfg = grid_config(tmp_path, "oracle.kind = nn-flip\noracle.gamma = 0.3\n"
+                                    "training.epochs = 16\n")
+        seeded = []
+        original = soqal.acquisition.stream_keys
+
+        def recording(seed, epoch, ids):
+            seeded.extend((seed, epoch, int(i)) for i in ids)
+            return original(seed, epoch, ids)
+
+        monkeypatch.setattr(soqal.acquisition, "stream_keys", recording)
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        strategies = ("soqal", "entropy-response", "epsilon-greedy")
+        assert main(["run", "--config", cfg, *strategy_args(strategies),
+                     "--out", str(tmp_path / "grid")]) == 0
+        assert len(forks) >= 2  # each seed's later events have several branches
+        assert {(seed, epoch) for seed, epoch, _ in seeded} == {
+            (seed, epoch) for seed in (0, 1) for epoch in (5, 10, 15)}
+        assert len(seeded) == len(set(seeded))
 
     def test_one_strategy_grid_forks_nothing(self, tmp_path, monkeypatch):
         trained = counting(monkeypatch, soqal.engine, "train_epoch")
