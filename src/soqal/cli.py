@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 
 import numpy as np
 
@@ -118,7 +117,7 @@ def _prepare(args: argparse.Namespace, settings: list[str]) -> ExperimentConfig:
             raise ConfigError(f"--set expects key=value, got {setting!r}")
         key, _, value = setting.partition("=")
         config = apply_setting(config, key.strip(), value.strip())
-    return replace(config, output_dir=args.out or config.output_dir)
+    return config._replace(output_dir=args.out or config.output_dir)
 
 
 def _run_grids(config: ExperimentConfig, key: str, values: list[str],

@@ -1,24 +1,26 @@
 """Experiment configuration: flat ``key = value`` text with dotted keys.
 
 The format is intentionally tiny and diff-friendly: one assignment per
-line, ``#`` comments, no sections.  Each key is one dataclass field, which
-gives its default and its type; unknown keys are rejected by name.  A canonical serialization (sorted keys, output
-directory excluded) feeds both provenance comments and the config hash.
+line, ``#`` comments, no sections.  Each key is one field of a NamedTuple
+section, whose default is the key's default and whose annotation names its
+type; `KEY_ALIASES` spells the keys that are not ``section.field``.
+Unknown keys are rejected by name.  A canonical serialization (sorted keys,
+output directory excluded) feeds both provenance comments and the config
+hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 ACQUISITION_NAMES = ("bald-mcd", "entropy", "random")
 
 
-@dataclass(frozen=True)
-class DataConfig:
+class DataConfig(NamedTuple):
     source: str = "synthetic"  # synthetic | csv
     kind: str = "gaussian-blobs"
     n: int = 1000
@@ -32,57 +34,69 @@ class DataConfig:
     test_frac: float = 0.2
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
+class NetworkConfig(NamedTuple):
     hidden: tuple[int, ...] = (32, 32)
     dropout: float = 0.3
-    gate_detached: bool = field(default=False, metadata={"key": "gate.detached"})
+    gate_detached: bool = False
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(NamedTuple):
     epochs: int = 50
     learning_rate: float = 1e-2
     batch_size: int = 32
 
 
-@dataclass(frozen=True)
-class ActiveLearningConfig:
-    mc_passes: int = field(default=20, metadata={"key": "active_learning.T"})
+class ActiveLearningConfig(NamedTuple):
+    mc_passes: int = 20
     period: int = 5  # acquire when epoch is a multiple of this
     # fraction of the remaining unlabelled pool; 0 disables
-    b_frac: float = field(default=0.02, metadata={"key": "active_learning.b"})
+    b_frac: float = 0.02
     init_labelled_frac: float = 0.1
     acquisition: str = "bald-mcd"
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
+class StrategyConfig(NamedTuple):
     name: str = "soqal"
-    hellinger_threshold: float = field(default=0.15, metadata={"key": "strategy.S"})
-    entropy_threshold: float = field(default=0.5, metadata={"key": "strategy.S_entropy"})
+    hellinger_threshold: float = 0.15
+    entropy_threshold: float = 0.5
     epsilon0: float = 1.0
-    epsilon_decay: float = field(default=0.9, metadata={"key": "strategy.epsilon.d"})
+    epsilon_decay: float = 0.9
 
 
-@dataclass(frozen=True)
-class OracleSection:
+class OracleSection(NamedTuple):
     kind: str = "noise-free"
     gamma: float = 0.0
     embed_dims: int = 2
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    dataset: DataConfig = field(default_factory=DataConfig)
-    network: NetworkConfig = field(default_factory=NetworkConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    active_learning: ActiveLearningConfig = field(default_factory=ActiveLearningConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    oracle: OracleSection = field(default_factory=OracleSection)
-    chernoff_mode: str = field(default="full-bound", metadata={"key": "gate.chernoff_mode"})
+class ExperimentConfig(NamedTuple):
+    dataset: DataConfig = DataConfig()
+    network: NetworkConfig = NetworkConfig()
+    training: TrainingConfig = TrainingConfig()
+    active_learning: ActiveLearningConfig = ActiveLearningConfig()
+    strategy: StrategyConfig = StrategyConfig()
+    oracle: OracleSection = OracleSection()
+    chernoff_mode: str = "full-bound"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output_dir: str = "results"
+
+
+# The keys spelled other than ``section.field`` (``field`` for a top-level field).
+KEY_ALIASES = {
+    "network.gate_detached": "gate.detached",
+    "active_learning.mc_passes": "active_learning.T",
+    "active_learning.b_frac": "active_learning.b",
+    "strategy.hellinger_threshold": "strategy.S",
+    "strategy.entropy_threshold": "strategy.S_entropy",
+    "strategy.epsilon_decay": "strategy.epsilon.d",
+    "chernoff_mode": "gate.chernoff_mode",
+}
+
+
+def field_annotations(cls) -> dict[str, str]:
+    """Each field of the NamedTuple `cls` and its annotation as written, which
+    NamedTuple keeps as a `ForwardRef` of the string."""
+    return {name: ref.__forward_arg__ for name, ref in cls.__annotations__.items()}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -119,18 +133,19 @@ def parse(annotation: str, raw: str):
 def _key_table() -> dict[str, tuple]:
     """key -> (section, attribute, annotation) for every config field.
 
-    A key is ``section.field`` (``field`` for a top-level field) unless the
-    field's metadata names another.
+    A key is ``section.field`` (``field`` for a top-level field) unless
+    `KEY_ALIASES` names another.
     """
     table = {}
-    for top in fields(ExperimentConfig):
-        if is_dataclass(top.default_factory):
-            members = [(top.name, f) for f in fields(top.default_factory)]
+    for top, top_annotation in field_annotations(ExperimentConfig).items():
+        default = ExperimentConfig._field_defaults[top]
+        if hasattr(default, "_fields"):  # a section
+            members = [(top, *item) for item in field_annotations(type(default)).items()]
         else:
-            members = [(None, top)]
-        for section, f in members:
-            key = f.metadata.get("key", f.name if section is None else f"{section}.{f.name}")
-            table[key] = (section, f.name, f.type)
+            members = [(None, top, top_annotation)]
+        for section, attr, annotation in members:
+            key = attr if section is None else f"{section}.{attr}"
+            table[KEY_ALIASES.get(key, key)] = (section, attr, annotation)
     return table
 
 
@@ -154,14 +169,14 @@ def _parse_setting(key: str, raw: str):
 
 def _with_values(config: ExperimentConfig, values: dict) -> ExperimentConfig:
     """`config` with each key of `values` set to its typed value: one
-    `replace` per section touched and one for the whole."""
+    `_replace` per section touched and one for the whole."""
     top, sections = {}, {}
     for key, value in values.items():
         section, attr, _ = _KNOWN_KEYS[key]
         (top if section is None else sections.setdefault(section, {}))[attr] = value
     for section, attrs in sections.items():
-        top[section] = replace(getattr(config, section), **attrs)
-    return replace(config, **top)
+        top[section] = getattr(config, section)._replace(**attrs)
+    return config._replace(**top)
 
 
 def apply_setting(config: ExperimentConfig, key: str, raw: str) -> ExperimentConfig:

@@ -7,9 +7,9 @@ always produces the same dataset and the same partition.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitIndices:
+class SplitIndices(NamedTuple):
     """Disjoint index sets covering a dataset, plus the seed labelled subset."""
 
     train: np.ndarray
@@ -127,6 +126,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     Every error names the file; rows are numbered from 1 (header excluded).
     The file needs a feature column and at least two label values.
     """
+    import csv  # here: a synthetic run reads no CSV
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -44,7 +44,7 @@ import copy
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +61,7 @@ from .oracle import Oracle
 from .strategy import decide
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     epoch: int
     train_loss: float
     gate_loss: float
@@ -75,8 +74,7 @@ class EpochRecord:
     n_unlabelled: int
 
 
-@dataclass(frozen=True)
-class AcquisitionRecord:
+class AcquisitionRecord(NamedTuple):
     epoch: int
     instance_id: int
     source: str  # "oracle" | "self"
@@ -145,7 +143,7 @@ def _run_key(config: ExperimentConfig, seed: int) -> tuple:
 def prefix_key(config: ExperimentConfig, seed: int) -> tuple:
     """Equal for runs that `_run_branches` may compute together: the `_run_key`
     of every setting but the strategy's."""
-    return _run_key(replace(config, strategy=StrategyConfig()), seed)
+    return _run_key(config._replace(strategy=StrategyConfig()), seed)
 
 
 @contextmanager

@@ -10,16 +10,17 @@ turns the same fit into an analytic ceiling on the gate's decision error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 VAR_FLOOR = 1e-6  # fitted variances never drop below this
 CHERNOFF_MODES = ("full-bound", "exponent-only")
+BETA_GRID = np.linspace(0.0, 1.0, 1001)  # chernoff_bound's candidates for b*
+BETA_GRID.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class GateStats:
+class GateStats(NamedTuple):
     """Per-epoch Gaussian fit of gate outputs conditioned on the error flag."""
 
     mu0: float
@@ -32,8 +33,7 @@ class GateStats:
     valid: bool  # both error classes had >= 2 samples
 
 
-@dataclass(frozen=True)
-class ChernoffResult:
+class ChernoffResult(NamedTuple):
     bound: float
     beta_star: float
 
@@ -124,7 +124,7 @@ def chernoff_bound(stats: GateStats, mode: str = "full-bound") -> ChernoffResult
         raise ValueError(f"unknown mode: {mode}")
     if not stats.valid:
         return ChernoffResult(bound=float("nan"), beta_star=float("nan"))
-    beta = np.linspace(0.0, 1.0, 1001)
+    beta = BETA_GRID
     mixed_var = beta * stats.var1 + (1.0 - beta) * stats.var0
     k = beta * (1.0 - beta) * (stats.mu0 - stats.mu1) ** 2 / (2.0 * mixed_var)
     k += 0.5 * (

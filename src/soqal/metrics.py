@@ -8,7 +8,7 @@ import numpy as np
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """`np.unique(values)` for NaN-free values, without its numpy.ma import."""
     ordered = np.sort(values, axis=None)
-    return ordered[np.r_[True, ordered[1:] != ordered[:-1]][: ordered.size]]
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))[: ordered.size]]
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -16,8 +16,8 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
     # Tie groups of the sorted values span positions starts[k]..ends[k].
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], len(values)] - 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    ends = np.concatenate((starts[1:], [len(values)])) - 1
     ranks = np.empty(len(values), dtype=np.float64)
     ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ def clamp_probs(p: np.ndarray | float) -> np.ndarray | float:
     return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
 
@@ -88,21 +88,11 @@ class Network:
         fan_in = n_features
         for width in hidden:
             scale = np.sqrt(2.0 / fan_in)
-            trunk.append(
-                Layer(
-                    weight=scale * rng.standard_normal((width, fan_in)),
-                    bias=np.zeros(width),
-                )
-            )
+            trunk.append(Layer(scale * rng.standard_normal((width, fan_in)), np.zeros(width)))
             fan_in = width
         scale = np.sqrt(1.0 / fan_in)
-        class_head = Layer(
-            weight=scale * rng.standard_normal((n_classes, fan_in)),
-            bias=np.zeros(n_classes),
-        )
-        gate_head = Layer(
-            weight=scale * rng.standard_normal((1, fan_in)), bias=np.zeros(1)
-        )
+        class_head = Layer(scale * rng.standard_normal((n_classes, fan_in)), np.zeros(n_classes))
+        gate_head = Layer(scale * rng.standard_normal((1, fan_in)), np.zeros(1))
         return cls(trunk, class_head, gate_head, dropout_rate, gate_detached)
 
     @property
@@ -248,8 +238,7 @@ def loss_terms(
     return class_term, gate_term
 
 
-@dataclass
-class EpochStats:
+class EpochStats(NamedTuple):
     mean_class_loss: float
     mean_gate_loss: float
 

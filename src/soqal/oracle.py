@@ -7,7 +7,7 @@ independent runs with independent streams stay reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .metrics import sorted_unique
 ORACLE_KINDS = ("noise-free", "random-flip", "nn-flip")
 
 
-@dataclass(frozen=True)
-class NeighborTable:
+class NeighborTable(NamedTuple):
     """Instances projected onto principal components, searched on demand."""
 
     ids: np.ndarray  # (n,) instance id of each row

@@ -9,29 +9,28 @@ the config hash, and the full resolved configuration, then a fixed header::
 
 Per-epoch rows leave ``test_auc`` empty; one final row (``epoch = final``)
 carries the test AUC and the run's final ask-rate.  ``config.spell`` writes
-each cell from its field's annotation (floats with ``repr``), so identical
-runs produce identical bytes.  The writer is the one definition of the
-format: the reader re-renders what it parsed and accepts only the same text.
+each cell from the annotation of its `EpochRecord` field (floats with
+``repr``): a row zips its record with the one list of those annotations,
+so identical runs produce identical bytes.  The writer is the one
+definition of the format: the reader re-renders what it parsed and accepts
+only the same text.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import __version__
-from .config import ExperimentConfig, canonical_lines, lines_hash, parse, parse_config_text, spell
+from .config import ExperimentConfig, canonical_lines, field_annotations, lines_hash, parse, spell
+from .config import parse_config_text
 from .engine import EpochRecord, ResultLog, ask_rate
 from .errors import ConfigError
 
-RESULT_COLUMNS = [
-    "seed",
-    *(f.name for f in fields(EpochRecord)),
-    "test_auc",
-    "config_hash",
-    "artifact_version",
-]
+# The annotation of each EpochRecord field, which picks its cells' spelling.
+_RECORD_TYPES = list(field_annotations(EpochRecord).values())
+RESULT_COLUMNS = ["seed", *EpochRecord._fields, "test_auc", "config_hash", "artifact_version"]
 
 
 def provenance_comments(config: ExperimentConfig) -> tuple[str, list[str]]:
@@ -49,13 +48,13 @@ def _result_table(
 ) -> tuple[str, list[str], list[list[str]]]:
     """The config hash, comment lines and rows of a result file: the format's one definition."""
     digest, comments = provenance_comments(config)
-    rows = [[spell("int", seed), *(spell(f.type, getattr(rec, f.name)) for f in fields(rec)),
-             "", digest, __version__] for rec in epochs]
+    rows = [[spell("int", seed), *map(spell, _RECORD_TYPES, rec), "", digest, __version__]
+            for rec in epochs]
     if epochs:  # the reader also re-renders a file in which it found none
-        last = replace(epochs[-1], cum_ask_rate=final_rate)
-        cells = ("final" if f.name == "epoch" else spell(f.type, getattr(last, f.name))
-                 if f.name in ("cum_ask_rate", "n_labelled", "n_unlabelled") else ""
-                 for f in fields(last))
+        last = epochs[-1]._replace(cum_ask_rate=final_rate)
+        cells = ("final" if name == "epoch" else spell(annotation, value)
+                 if name in ("cum_ask_rate", "n_labelled", "n_unlabelled") else ""
+                 for name, annotation, value in zip(EpochRecord._fields, _RECORD_TYPES, last))
         rows.append([spell("int", seed), *cells, spell("float", test_auc), digest, __version__])
     comments.append(f"# stratified_split = {spell('bool', stratified)}")
     return digest, comments, rows
@@ -69,8 +68,7 @@ def write_result_csv(log: ResultLog, config: ExperimentConfig, path: str) -> Non
     write_table(path, RESULT_COLUMNS, rows, comments)
 
 
-@dataclass
-class ResultFile:
+class ResultFile(NamedTuple):
     """Parsed view of one results CSV."""
 
     seed: int
@@ -119,7 +117,8 @@ def read_result_csv(path: str) -> ResultFile:
         if row["epoch"] == "final":
             test_auc, final_rate = number("test_auc"), number("cum_ask_rate")
             break
-        epoch_rows.append({f.name: number(f.name, f.type) for f in fields(EpochRecord)})
+        epoch_rows.append({name: number(name, annotation)
+                           for name, annotation in zip(EpochRecord._fields, _RECORD_TYPES)})
         epoch_rows[-1]["epoch"] = len(epoch_rows)  # by position: a gap or repeat re-renders
     stratified = f"# stratified_split = {spell('bool', False)}\n" not in lines[:at]
     records = [EpochRecord(**row) for row in epoch_rows]

@@ -8,7 +8,6 @@ checks the whole suite's wall time (single process, no parallel jobs).
 import contextlib
 import math
 import time
-from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -61,11 +60,10 @@ def benchmark_config(strategy="soqal", **strategy_fields) -> ExperimentConfig:
     """The ordering benchmark: 2-class blobs, n=1000, separation tuned so the
     full-oracle run lands in the required AUC window."""
     cfg = ExperimentConfig()
-    return replace(
-        cfg,
-        dataset=replace(cfg.dataset, n=1000, classes=2, separation=1.8),
-        active_learning=replace(cfg.active_learning, init_labelled_frac=0.05),
-        strategy=replace(cfg.strategy, name=strategy, **strategy_fields),
+    return cfg._replace(
+        dataset=cfg.dataset._replace(n=1000, classes=2, separation=1.8),
+        active_learning=cfg.active_learning._replace(init_labelled_frac=0.05),
+        strategy=cfg.strategy._replace(name=strategy, **strategy_fields),
     )
 
 
@@ -171,11 +169,11 @@ def test_criterion_3_chernoff_validity():
 
 
 def rows_identical(a, b):
-    """Dataclass-row equality that treats nan fields as equal to nan."""
+    """Record-row equality that treats nan fields as equal to nan."""
     if len(a) != len(b):
         return False
     for rec_a, rec_b in zip(a, b):
-        for fa, fb in zip(astuple(rec_a), astuple(rec_b)):
+        for fa, fb in zip(tuple(rec_a), tuple(rec_b)):
             both_nan = (
                 isinstance(fa, float) and isinstance(fb, float)
                 and math.isnan(fa) and math.isnan(fb)
@@ -187,18 +185,17 @@ def rows_identical(a, b):
 
 def test_criterion_4_strategy_extremes():
     with criterion(4, "ask-rate extremes and S=1 identity"):
-        base = replace(
-            benchmark_config("full-oracle"),
-            training=replace(ExperimentConfig().training, epochs=25),
+        base = benchmark_config("full-oracle")._replace(
+            training=ExperimentConfig().training._replace(epochs=25),
         )
         full = cached_run(base, 0)
         assert ask_rate(full) == 1.0
 
-        none = cached_run(replace(base, strategy=replace(base.strategy, name="no-oracle")), 0)
+        none = cached_run(base._replace(strategy=base.strategy._replace(name="no-oracle")), 0)
         assert ask_rate(none) == 0.0
 
-        trusting = replace(
-            base, strategy=replace(base.strategy, name="soqal", hellinger_threshold=1.0)
+        trusting = base._replace(
+            strategy=base.strategy._replace(name="soqal", hellinger_threshold=1.0)
         )
         soq = cached_run(trusting, 0)
         assert rows_identical(soq.epochs, full.epochs), "S=1.0 diverged from full-oracle"
@@ -257,11 +254,10 @@ def test_criterion_6_ask_rate_vs_threshold():
 
 def test_criterion_7_noise_robustness():
     with criterion(7, "gamma=0.8 noise: fewer asks, no AUC collapse"):
-        noisy = replace(
-            benchmark_config("soqal"),
-            oracle=replace(ExperimentConfig().oracle, kind="random-flip", gamma=0.8),
+        noisy = benchmark_config("soqal")._replace(
+            oracle=ExperimentConfig().oracle._replace(kind="random-flip", gamma=0.8),
         )
-        noisy_full = replace(noisy, strategy=replace(noisy.strategy, name="full-oracle"))
+        noisy_full = noisy._replace(strategy=noisy.strategy._replace(name="full-oracle"))
         soq_rate = seed_mean(noisy, ask_rate)
         soq_auc = seed_mean(noisy, lambda r: r.test_auc)
         full_auc = seed_mean(noisy_full, lambda r: r.test_auc)

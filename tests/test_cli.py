@@ -891,5 +891,5 @@ class TestEntryPoint:
         assert result.returncode == 0, result.stderr
         loaded = set(result.stdout.split())
         assert {"soqal.engine", "soqal.oracle"} <= loaded
-        unused = {"numpy.ma", "multiprocessing", "concurrent.futures.process"}
+        unused = {"numpy.ma", "multiprocessing", "concurrent.futures.process", "csv"}
         assert not loaded & unused

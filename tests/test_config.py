@@ -1,11 +1,13 @@
+import math
 import re
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from soqal.config import (
     _KNOWN_KEYS,
+    KEY_ALIASES,
+    TEXT_FORMS,
     ExperimentConfig,
     apply_setting,
     canonical_lines,
@@ -14,7 +16,9 @@ from soqal.config import (
     parse_config_text,
     validate,
 )
+from soqal.engine import EpochRecord
 from soqal.errors import ConfigError
+from soqal.gate import GateStats
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -212,15 +216,22 @@ class TestHash:
 
 
 class TestKeyTable:
-    def test_one_key_per_dataclass_field(self):
+    def test_one_key_per_config_field(self):
         leaves = set()
-        for top in fields(ExperimentConfig):
-            if is_dataclass(top.default_factory):
-                leaves |= {(top.name, f.name) for f in fields(top.default_factory)}
+        for top, default in ExperimentConfig._field_defaults.items():
+            if hasattr(default, "_fields"):  # a section
+                leaves |= {(top, name) for name in default._fields}
             else:
-                leaves.add((None, top.name))
+                leaves.add((None, top))
         assert len(leaves) == len(_KNOWN_KEYS) == 33
         assert {(section, attr) for section, attr, _ in _KNOWN_KEYS.values()} == leaves
+        assert {annotation for *_, annotation in _KNOWN_KEYS.values()} <= set(TEXT_FORMS)
+        # Each alias renames an existing field, whose `section.field` is then no key.
+        plain = {attr if section is None else f"{section}.{attr}" for section, attr in leaves}
+        assert len(KEY_ALIASES) == 7
+        assert set(KEY_ALIASES) <= plain
+        assert set(KEY_ALIASES.values()) <= set(_KNOWN_KEYS)
+        assert not set(KEY_ALIASES) & set(_KNOWN_KEYS)
 
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -229,3 +240,16 @@ class TestKeyTable:
         defaults["output_dir"] = ExperimentConfig().output_dir
         assert rows == defaults
         assert set(rows) == set(_KNOWN_KEYS)
+
+
+@pytest.mark.parametrize("value", [
+    *ExperimentConfig()[:6],  # the six sections
+    ExperimentConfig(),
+    EpochRecord(1, 0.5, 0.4, 0.9, 0.2, math.nan, math.nan, 0.0, 10, 90),
+    GateStats(0.1, 0.01, 0.7, 0.02, 0.8, 0.2, 0.6, True),
+], ids=lambda value: type(value).__name__)
+def test_config_sections_and_records_are_immutable(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.unknown = 1

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from dataclasses import astuple, replace
 
 import soqal.engine
 from soqal.config import ExperimentConfig
@@ -21,14 +20,13 @@ from soqal.strategy import decide
 
 def tiny_config(strategy_name="full-oracle", epochs=20, **overrides):
     cfg = ExperimentConfig()
-    cfg = replace(
-        cfg,
-        dataset=replace(cfg.dataset, n=120, separation=2.5),
-        training=replace(cfg.training, epochs=epochs),
-        strategy=replace(cfg.strategy, name=strategy_name),
+    cfg = cfg._replace(
+        dataset=cfg.dataset._replace(n=120, separation=2.5),
+        training=cfg.training._replace(epochs=epochs),
+        strategy=cfg.strategy._replace(name=strategy_name),
     )
     for section, fields in overrides.items():
-        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **fields)})
+        cfg = cfg._replace(**{section: getattr(cfg, section)._replace(**fields)})
     return cfg
 
 
@@ -37,7 +35,7 @@ def logs_equal(a, b):
     if len(a.epochs) != len(b.epochs) or a.acquisitions != b.acquisitions:
         return False
     for rec_a, rec_b in zip(a.epochs, b.epochs):
-        for fa, fb in zip(astuple(rec_a), astuple(rec_b)):
+        for fa, fb in zip(tuple(rec_a), tuple(rec_b)):
             both_nan = (
                 isinstance(fa, float) and isinstance(fb, float)
                 and math.isnan(fa) and math.isnan(fb)
@@ -135,9 +133,8 @@ class TestRunExperiment:
         base = tiny_config("full-oracle", epochs=20)
         full = run_experiment(base, seed=7)
         soq = run_experiment(
-            replace(
-                base,
-                strategy=replace(base.strategy, name="soqal", hellinger_threshold=1.0),
+            base._replace(
+                strategy=base.strategy._replace(name="soqal", hellinger_threshold=1.0),
             ),
             seed=7,
         )
@@ -246,8 +243,8 @@ class TestRunExperiment:
         path = tmp_path / "skewed.csv"
         path.write_text("\n".join(lines) + "\n")
         cfg = tiny_config("no-oracle", epochs=3)
-        cfg = replace(cfg, dataset=replace(cfg.dataset, source="csv",
-                                           csv_path=str(path)))
+        cfg = cfg._replace(dataset=cfg.dataset._replace(source="csv",
+                                                        csv_path=str(path)))
         log = run_experiment(cfg, seed=18)
         assert log.stratified_split is False
 
@@ -295,10 +292,9 @@ class TestRunExperiment:
 def isolation_config(strategy_name, **overrides):
     """n = 200, 15 epochs, b = 0.1, period 3: five events, 45 acquisitions."""
     cfg = tiny_config(strategy_name, epochs=15, **overrides)
-    return replace(
-        cfg,
-        dataset=replace(cfg.dataset, n=200),
-        active_learning=replace(cfg.active_learning, b_frac=0.1, period=3),
+    return cfg._replace(
+        dataset=cfg.dataset._replace(n=200),
+        active_learning=cfg.active_learning._replace(b_frac=0.1, period=3),
     )
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,4 +220,4 @@ class TestChernoffBound:
         with pytest.raises(ValueError):
             chernoff_bound(stats, mode="fastest")
         with pytest.raises(ValueError):
-            chernoff_bound(replace(stats, valid=False), mode="fastest")
+            chernoff_bound(stats._replace(valid=False), mode="fastest")

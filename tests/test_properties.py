@@ -5,7 +5,7 @@ import csv
 import math
 import tempfile
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -217,28 +217,24 @@ def small_runs(draw):
     kind = draw(st.sampled_from(SYNTHETIC_KINDS))
     classes = 2 if kind == "ring-vs-blob" else draw(st.integers(2, 4))
     base = ExperimentConfig()
-    config = replace(
-        base,
-        dataset=replace(
-            base.dataset,
+    config = base._replace(
+        dataset=base.dataset._replace(
             kind=kind,
             n=draw(st.integers(60, 200)),
             classes=classes,
             features=draw(st.integers(max(2, classes), 5)),
             separation=draw(st.floats(0.5, 3.0)),
         ),
-        network=replace(base.network, hidden=(8,), dropout=draw(st.floats(0.0, 0.6))),
-        training=replace(base.training, epochs=draw(st.integers(1, 10))),
-        active_learning=replace(
-            base.active_learning,
+        network=base.network._replace(hidden=(8,), dropout=draw(st.floats(0.0, 0.6))),
+        training=base.training._replace(epochs=draw(st.integers(1, 10))),
+        active_learning=base.active_learning._replace(
             mc_passes=draw(st.integers(1, 5)),
             period=draw(st.integers(1, 4)),
             b_frac=draw(st.floats(0.0, 1.0)),
             acquisition=draw(st.sampled_from(ACQUISITION_NAMES)),
         ),
         strategy=draw(strategy_configs),
-        oracle=replace(
-            base.oracle,
+        oracle=base.oracle._replace(
             kind=draw(st.sampled_from(ORACLE_KINDS)),
             gamma=draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))),
         ),
@@ -309,7 +305,7 @@ def test_runs_sharing_a_prefix_write_the_bytes_they_write_alone(case, strategies
     writes per run the bytes of that run outside any shared-prefix scope."""
     config, seed = case
     with tempfile.TemporaryDirectory() as tmp:
-        group = [(replace(config, strategy=strategy), seed, str(Path(tmp, f"grouped{i}.csv")))
+        group = [(config._replace(strategy=strategy), seed, str(Path(tmp, f"grouped{i}.csv")))
                  for i, strategy in enumerate(strategies)]
         _run_group(group)
         for i, (variant, _, path) in enumerate(group):
@@ -358,7 +354,7 @@ result_logs = st.builds(
     seed=st.integers(0, 2**32),
     # A result file's epoch rows run 1, 2, ... without a gap or repeat.
     epochs=st.lists(epoch_records, min_size=1, max_size=6).map(
-        lambda recs: [replace(rec, epoch=i) for i, rec in enumerate(recs, start=1)]
+        lambda recs: [rec._replace(epoch=i) for i, rec in enumerate(recs, start=1)]
     ),
     acquisitions=st.lists(acquisition_records, max_size=6),
     test_auc=any_float,
@@ -380,8 +376,8 @@ def test_result_csv_round_trips_every_field_and_rewrites_the_same_bytes(log):
     assert (parsed.seed, parsed.config_hash) == (log.seed, config_hash(config))
     assert len(parsed.epoch_rows) == len(log.epochs)
     for row, rec in zip(parsed.epoch_rows, log.epochs):
-        for f in fields(EpochRecord):
-            assert same_float(row[f.name], getattr(rec, f.name)), f.name
+        for name in EpochRecord._fields:
+            assert same_float(row[name], getattr(rec, name)), name
     assert same_float(parsed.test_auc, log.test_auc)
     assert same_float(parsed.final_ask_rate, ask_rate(log))
 
@@ -426,9 +422,9 @@ def with_values(values: dict) -> ExperimentConfig:
     for key, value in values.items():
         section, attr, _ = _KNOWN_KEYS[key]
         if section is None:
-            config = replace(config, **{attr: value})
+            config = config._replace(**{attr: value})
         else:
-            config = replace(config, **{section: replace(getattr(config, section), **{attr: value})})
+            config = config._replace(**{section: getattr(config, section)._replace(**{attr: value})})
     return config
 
 
@@ -444,7 +440,7 @@ def test_every_config_survives_its_own_cfg_lines(values):
     assert config_hash(again) == config_hash(config)
     floats = [v for key, v in values.items() if _KNOWN_KEYS[key][2] == "float"]
     if not any(math.isnan(v) for v in floats):
-        assert again == replace(config, output_dir=again.output_dir)
+        assert again == config._replace(output_dir=again.output_dir)
     log = ResultLog(seed=0, epochs=[EpochRecord(1, *[0.5] * 7, 1, 1)])
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp, "results_0.csv"))
@@ -479,7 +475,7 @@ report_variants = st.tuples(
 # A run's AUCs lie in [0, 1] or are undefined.
 run_logs = st.builds(
     lambda log, auc: replace(log, test_auc=auc,
-                             epochs=[replace(rec, val_auc=auc) for rec in log.epochs]),
+                             epochs=[rec._replace(val_auc=auc) for rec in log.epochs]),
     result_logs, st.one_of(st.floats(0.0, 1.0), st.just(math.nan)),
 )
 

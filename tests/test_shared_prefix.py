@@ -4,7 +4,6 @@ once per seed and forks its state where the decisions split, and each run
 writes the bytes it writes alone."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,10 +207,11 @@ class TestSharedPrefixIsolation:
 
     def test_prefix_key_ignores_only_strategy_settings(self):
         config = ExperimentConfig()
-        varied = replace(config, strategy=replace(config.strategy, name="no-oracle",
-                                                  hellinger_threshold=0.9, epsilon0=0.5))
+        varied = config._replace(strategy=config.strategy._replace(name="no-oracle",
+                                                                   hellinger_threshold=0.9,
+                                                                   epsilon0=0.5))
         assert prefix_key(config, 3) == prefix_key(varied, 3)
-        assert prefix_key(config, 3) == prefix_key(replace(config, output_dir="elsewhere"), 3)
+        assert prefix_key(config, 3) == prefix_key(config._replace(output_dir="elsewhere"), 3)
         assert prefix_key(config, 3) != prefix_key(config, 4)
 
     def test_counts_of_a_three_strategy_two_seed_grid(self, tmp_path, monkeypatch):
