@@ -241,7 +241,7 @@ def _run_branches(runs: list[tuple[ExperimentConfig, int]]) -> list[ResultLog]:
     logs: list[ResultLog] = [None] * len(runs)
     for run in branches:
         dataset, parts, features, _ = run.data
-        run.log.test_auc = auc_ovr(run.net.forward_batch(features[parts.test])[0],
+        run.log.test_auc = auc_ovr(run.net.predict(features[parts.test])[0],
                                    dataset.labels[parts.test])
         for index, _, _ in run.members:
             logs[index] = run.log
@@ -290,15 +290,14 @@ def _step(config: ExperimentConfig, run: _Run, epoch: int,
     stats = train_epoch(run.net, x_lab, y_lab, config.training.learning_rate,
                         config.training.batch_size, run.net_rng)
 
-    # Drop the forward cache: kept to the next epoch, it raises peak memory.
-    lab_probs, lab_gate = run.net.forward_batch(x_lab)[:2]
+    lab_probs, lab_gate = run.net.predict(x_lab)
     if not (np.isfinite(lab_probs).all() and np.isfinite(lab_gate).all()):
         raise ValueError(f"training diverged at epoch {epoch}: the network's outputs are "
                          "not finite; lower training.learning_rate")
     e_flags = (lab_probs.argmax(axis=1) != y_lab).astype(np.int64)
     gate_stats = fit_conditional_gaussians(lab_gate, e_flags)
 
-    val_auc = auc_ovr(run.net.forward_batch(features[parts.val])[0], dataset.labels[parts.val])
+    val_auc = auc_ovr(run.net.predict(features[parts.val])[0], dataset.labels[parts.val])
 
     al, splits = config.active_learning, {b"": (None, run.members)}
     if event is not None:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError
 
 PROB_FLOOR = 1e-12  # clamp applied to every probability before a log
+PREDICT_ROWS = 320  # rows per forward call of `Network.predict`: bounds its peak memory
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -165,6 +166,23 @@ class Network:
         cache = {"activations": activations, "masks": masks,
                  "class_probs": class_probs, "gate": gate}
         return class_probs, gate, cache
+
+    def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Deterministic (class_probs (N, C), gate_outputs (N,)) of (N, m) rows.
+
+        Runs `forward_batch` on chunks of at most PREDICT_ROWS rows, writes
+        each chunk into preallocated outputs and drops its cache at once, so
+        peak memory is the outputs plus one chunk's layers, whatever N is.
+        N <= PREDICT_ROWS is one call, the bytes of `forward_batch(rows)`;
+        above that a row's bits are those of its chunk's call.  Zero rows
+        still make one call, which checks the shape.
+        """
+        probs = np.empty((len(rows), self.n_classes))
+        gate = np.empty(len(rows))
+        for start in range(0, len(rows) or 1, PREDICT_ROWS):
+            stop = start + PREDICT_ROWS
+            probs[start:stop], gate[start:stop] = self.forward_batch(rows[start:stop])[:2]
+        return probs, gate
 
     def backward(
         self, cache: dict, targets: np.ndarray, errors: np.ndarray, beta: float

@@ -471,6 +471,13 @@ class TestRun:
         assert not out.exists()
 
     def test_forward_block_size_does_not_change_results(self, tmp_path, monkeypatch):
+        """Two block sizes write the same files for one tiny config (120
+        rows, hidden 32,32, T = 7, two seeds).
+
+        Another block size moves posterior rows by ulps; this passes because
+        those ulps change no pick here.  README claims no independence from
+        MC_BLOCK_ROWS in general, and this test checks only this config.
+        """
         cfg = tmp_path / "dropout.cfg"
         cfg.write_text(TINY_CONFIG + "network.dropout = 0.4\nactive_learning.T = 7\n")
         digests = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from math_oracles import numeric_grads
 from soqal.data import gen_synthetic
 from soqal.errors import ConfigError
 from soqal.network import (
+    PREDICT_ROWS,
     PROB_FLOOR,
     EpochStats,
     Network,
@@ -82,6 +84,64 @@ class TestForward:
         net = tiny_net()
         with pytest.raises(ConfigError):
             net.forward_batch(np.ones((1, 5)))
+
+
+class TestPredict:
+    """`predict` is the deterministic forward in calls of at most
+    PREDICT_ROWS rows, keeping no cache."""
+
+    @staticmethod
+    def case(hidden, rows, seed=0):
+        net = Network.initialize(6, 4, list(hidden), dropout_rate=0.3, seed=seed)
+        x = np.random.default_rng(seed).standard_normal((rows, 6))
+        x.flags.writeable = False  # a write into the inputs raises
+        return net, x
+
+    @pytest.mark.parametrize("hidden", [(32, 32), (256, 256)])
+    def test_one_call_up_to_predict_rows(self, hidden):
+        net, x = self.case(hidden, PREDICT_ROWS)
+        for n in range(1, PREDICT_ROWS + 1):
+            probs, gate = net.predict(x[:n])
+            want_probs, want_gate, _ = net.forward_batch(x[:n])
+            np.testing.assert_array_equal(probs, want_probs, err_msg=f"n={n}")
+            np.testing.assert_array_equal(gate, want_gate, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("hidden", [(32, 32), (256, 256)])
+    @pytest.mark.parametrize("n", [PREDICT_ROWS + 1, 2 * PREDICT_ROWS, 3 * PREDICT_ROWS + 37])
+    def test_each_chunk_is_one_call_on_its_slice(self, hidden, n):
+        net, x = self.case(hidden, n, seed=n)
+        x_before = x.copy()
+        probs, gate = net.predict(x)
+        assert probs.shape == (n, 4) and gate.shape == (n,)
+        for start in range(0, n, PREDICT_ROWS):
+            chunk = slice(start, start + PREDICT_ROWS)
+            want_probs, want_gate, _ = net.forward_batch(x[chunk])
+            np.testing.assert_array_equal(probs[chunk], want_probs, err_msg=f"start={start}")
+            np.testing.assert_array_equal(gate[chunk], want_gate, err_msg=f"start={start}")
+        np.testing.assert_array_equal(x, x_before)
+
+    def test_zero_rows_and_shape_check(self):
+        net, x = self.case((6, 5), 0)
+        probs, gate = net.predict(x)
+        assert probs.shape == (0, 4) and gate.shape == (0,)
+        with pytest.raises(ConfigError):
+            net.predict(np.ones((0, 5)))
+
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_peak_memory_is_the_outputs_plus_a_few_chunks(self, n):
+        # One 4,000-row forward_batch at 256,256 traces about 16.7 MB, as its
+        # cache holds every layer's output; predict about 1.5 MB.
+        net, x = self.case((256, 256), n)
+        net.predict(x[:1])  # any lazy set-up happens before tracing
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = n * (net.n_classes + 1) * 8
+        chunk = PREDICT_ROWS * 256 * 8  # one trunk layer's output on one chunk
+        assert peak < outputs + 3 * chunk, f"traced peak {peak} bytes"
 
 
 def reference_forward(net, x, masks):
