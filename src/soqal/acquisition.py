@@ -110,7 +110,7 @@ def padded_calls(fn, rows: np.ndarray, call_rows: int) -> np.ndarray:
 def gate_values(net: Network, rows: np.ndarray) -> np.ndarray:
     """Deterministic-pass gate outputs (N,) of (N, m) rows, from padded calls
     of MC_BLOCK_ROWS rows: a row's value does not depend on N."""
-    return padded_calls(lambda x: net.predict(x)[1], rows, MC_BLOCK_ROWS)[:len(rows)]
+    return padded_calls(lambda x: net.forward_batch(x)[1], rows, MC_BLOCK_ROWS)[:len(rows)]
 
 
 class MaskStore(NamedTuple):
