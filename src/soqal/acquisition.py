@@ -157,24 +157,18 @@ def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: 
     return MaskStore((int(seed), int(epoch), n_passes, tuple(widths), rate), ids, bits)
 
 
-def mc_posteriors(
-    net: Network,
-    features: np.ndarray,
-    ids: np.ndarray | list[int],
-    n_passes: int,
-    seed: int,
-    epoch: int,
-    store: MaskStore | None = None,
-) -> np.ndarray:
-    """(len(ids), T, C) softmax rows of `n_passes` dropout passes over the
-    rows `ids` of features (N, m).
+def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int],
+                  store: MaskStore) -> np.ndarray:
+    """(len(ids), T, C) softmax rows of T dropout passes over the rows `ids`
+    of features (N, m), T being the one `store` was drawn for.
 
-    The masks are the rows of `store`, drawn by `dropout_masks` for this
-    (seed, epoch), T and the network's trunk widths and dropout rate, which
-    may hold other ids too (an event's store serves every branch of a seed
-    group); without a store, one is drawn for `ids`.  An id is looked up
-    in the store by `searchsorted`, and one the store does not hold is a
-    ValueError, never a neighbour's row.  This function draws nothing.
+    The masks are the rows of `store`, drawn by `dropout_masks` for an
+    event's (seed, epoch) and T, which may hold other ids too (an event's
+    store serves every branch of a seed group).  Its trunk widths and
+    dropout rate must be the network's, or it is a ValueError.  An id is
+    looked up in the store by `searchsorted`, and one the store does not
+    hold is a ValueError, never a neighbour's row.  This function draws
+    nothing.
 
     A pass computes only the class rows.  The first trunk layer runs once
     per instance, through `padded_calls` with `per_block * T` rows per call,
@@ -186,11 +180,9 @@ def mc_posteriors(
     MC_BLOCK_ROWS (not across block sizes or BLAS builds).
     """
     ids = np.asarray(ids, dtype=np.int64)
-    widths = [layer.weight.shape[0] for layer in net.trunk]
-    if store is None:
-        store = dropout_masks(seed, epoch, ids, n_passes, widths, net.dropout_rate)
-    if store.key != (int(seed), int(epoch), n_passes, tuple(widths), net.dropout_rate):
-        raise ValueError("the mask store was drawn for another seed, epoch, T or network")
+    _, _, n_passes, widths, rate = store.key
+    if widths != tuple(layer.weight.shape[0] for layer in net.trunk) or rate != net.dropout_rate:
+        raise ValueError("the mask store was drawn for another network's widths or dropout rate")
     at = np.searchsorted(store.ids, ids)
     held = at < len(store.ids)
     held[held] = store.ids[at[held]] == ids[held]
@@ -243,8 +235,9 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:
-    """Indices of the ceil(b_frac * N) highest scores, ties to lower index."""
+    """Indices of the ceil(b_frac * N) highest scores, ties to lower index,
+    in ascending order."""
     values = np.asarray(scores, dtype=np.float64)
     count = math.ceil(b_frac * values.size)
     order = np.lexsort((np.arange(values.size), -values))
-    return [int(i) for i in order[:count]]
+    return np.sort(order[:count]).tolist()

@@ -270,7 +270,7 @@ def _events(config: ExperimentConfig, branches: list[_Run],
     # sorted ids.
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([first.log.seed, epoch]))
-        rows = sorted(select_top_b(epoch_rng.random(len(forward[0])), al.b_frac))
+        rows = select_top_b(epoch_rng.random(len(forward[0])), al.b_frac)
         forward = [candidates[rows] for candidates in forward]
     widths = [layer.weight.shape[0] for layer in first.net.trunk]
     store = dropout_masks(first.log.seed, epoch, np.concatenate(forward), al.mc_passes, widths,
@@ -301,7 +301,7 @@ def _step(config: ExperimentConfig, run: _Run, epoch: int,
 
     al, splits = config.active_learning, {b"": (None, run.members)}
     if event is not None:
-        picked, gate_outputs, mean_probs = _pick(config, run, epoch, *event)
+        picked, gate_outputs, mean_probs = _pick(config, run, *event)
         splits = {}
         for index, strategy, rng in run.members:
             labels = decide(strategy, epoch // al.period - 1, gate_stats,
@@ -332,7 +332,7 @@ def _step(config: ExperimentConfig, run: _Run, epoch: int,
     return forks
 
 
-def _pick(config: ExperimentConfig, run: _Run, epoch: int, ids: np.ndarray,
+def _pick(config: ExperimentConfig, run: _Run, ids: np.ndarray,
           store: MaskStore) -> tuple[list[int], np.ndarray, np.ndarray]:
     """One acquisition event up to its decisions: score the forward `ids`
     with the event's mask store and select (under `random`, `ids` are the
@@ -342,10 +342,10 @@ def _pick(config: ExperimentConfig, run: _Run, epoch: int, ids: np.ndarray,
     values and the row means of their posterior samples.
     """
     net, features, al = run.net, run.data.features, config.active_learning
-    probs = mc_posteriors(net, features, ids, al.mc_passes, run.log.seed, epoch, store)
+    probs = mc_posteriors(net, features, ids, store)
     if al.acquisition != "random":
         scorer = bald_mcd if al.acquisition == "bald-mcd" else predictive_entropy
-        rows = sorted(select_top_b(scorer(probs), al.b_frac))
+        rows = select_top_b(scorer(probs), al.b_frac)
         ids, probs = ids[rows], probs[rows]
     picked = ids.tolist()
     return picked, gate_values(net, features[picked]), probs.mean(axis=1)

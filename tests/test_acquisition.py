@@ -41,22 +41,29 @@ def reference_posteriors(net, features, ids, n_passes, seed, epoch):
     return np.stack(rows)
 
 
+def posteriors(net, features, ids, n_passes, seed, epoch):
+    """mc_posteriors over a store drawn for exactly `ids`."""
+    widths = [layer.weight.shape[0] for layer in net.trunk]
+    store = dropout_masks(seed, epoch, ids, n_passes, widths, net.dropout_rate)
+    return mc_posteriors(net, features, ids, store)
+
+
 class TestMcPosteriors:
     def test_no_dropout_rows_identical(self):
         net = make_net(0.0)
-        probs = mc_posteriors(net, np.ones((1, 3)), [0], n_passes=7, seed=1, epoch=0)[0]
+        probs = posteriors(net, np.ones((1, 3)), [0], n_passes=7, seed=1, epoch=0)[0]
         np.testing.assert_array_equal(probs, np.tile(probs[0], (7, 1)))
 
     def test_same_seed_same_matrix(self):
         net = make_net(0.4)
         x = np.random.default_rng(2).standard_normal((1, 3))
-        a = mc_posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
-        b = mc_posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
+        a = posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
+        b = posteriors(net, x, [0], n_passes=20, seed=9, epoch=1)
         np.testing.assert_array_equal(a, b)
 
     def test_rows_are_distributions(self):
         net = make_net(0.5)
-        probs = mc_posteriors(net, np.ones((1, 3)), [0], n_passes=20, seed=3, epoch=1)
+        probs = posteriors(net, np.ones((1, 3)), [0], n_passes=20, seed=3, epoch=1)
         assert probs.shape == (1, 20, 4)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -64,22 +71,22 @@ class TestMcPosteriors:
         # Rows 3 and 4 hold the same features, so only the id keys differ.
         net = make_net(0.4)
         features = np.ones((5, 3))
-        a = mc_posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
+        a = posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
         np.testing.assert_array_equal(
-            a, mc_posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
+            a, posteriors(net, features, [3], n_passes=20, seed=1, epoch=2)
         )
-        b = mc_posteriors(net, features, [4], n_passes=20, seed=1, epoch=2)
+        b = posteriors(net, features, [4], n_passes=20, seed=1, epoch=2)
         assert not np.array_equal(a, b)
 
     def test_empty_id_list_gives_an_empty_stack(self):
-        probs = mc_posteriors(make_net(0.4), np.ones((2, 3)), [], n_passes=7, seed=1, epoch=0)
+        probs = posteriors(make_net(0.4), np.ones((2, 3)), [], n_passes=7, seed=1, epoch=0)
         assert probs.shape == (0, 7, 4)
 
     @pytest.mark.parametrize("bad_id", [-1, 2**32])
     def test_id_outside_uint32_rejected(self, bad_id):
         # A wrapped id would silently key another instance's stream.
         with pytest.raises(ValueError, match="ids must lie in"):
-            mc_posteriors(make_net(0.3), np.ones((1, 3)), [0, bad_id], 2, seed=0, epoch=0)
+            dropout_masks(0, 0, [0, bad_id], 2, [8], 0.3)
 
 
 def seed_of_words(n):
@@ -110,7 +117,7 @@ class TestPosteriors:
         net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
         features = np.random.default_rng(1).standard_normal((6, 3))
         ids = [1, 4, 5]
-        probs = mc_posteriors(net, features, ids, 5, seed=7, epoch=2)
+        probs = posteriors(net, features, ids, 5, seed=7, epoch=2)
         assert probs.shape == (3, 5, 4)
         for row, i in zip(probs, ids):
             rng = np.random.default_rng(np.random.SeedSequence([7, 2, i]))
@@ -118,12 +125,20 @@ class TestPosteriors:
             expected, _, _ = net.forward_batch(tiled, net.make_masks(5, rng))
             np.testing.assert_array_equal(row, expected)
 
+    def test_passes_come_from_the_store(self):
+        net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
+        features = np.random.default_rng(5).standard_normal((6, 3))
+        ids = [0, 2, 5]
+        probs = mc_posteriors(net, features, ids, dropout_masks(4, 3, ids, 7, [8], 0.4))
+        assert probs.shape == (3, 7, 4)
+        np.testing.assert_array_equal(probs, reference_posteriors(net, features, ids, 7, 4, 3))
+
     def test_rows_must_sum_to_one(self, monkeypatch):
         net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
         rows = np.array([[0.5, 0.5], [0.5, 0.4]])
         monkeypatch.setattr(net, "class_probs", lambda top: rows)
         with pytest.raises(ValueError, match="sum to 1"):
-            mc_posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
+            posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
 
 PASSES = 20
@@ -146,7 +161,7 @@ class TestBlockedForward:
         ids = list(range(10, 10 + 3 * n, 3))
         features[ids] = xs
         np.testing.assert_array_equal(
-            mc_posteriors(net, features, ids, PASSES, 7, 5),
+            posteriors(net, features, ids, PASSES, 7, 5),
             reference_posteriors(net, features, ids, PASSES, 7, 5),
         )
 
@@ -155,9 +170,9 @@ class TestBlockedForward:
     def test_rows_do_not_depend_on_block_mates(self, order, size):
         net = pool_net(0.4)
         xs = np.random.default_rng(0).standard_normal((2 * BLOCK + 3, 5))
-        full = mc_posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
+        full = posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
         ids = order[:size]
-        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
+        np.testing.assert_array_equal(posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -172,10 +187,10 @@ class TestBlockedForward:
         # probability by many orders of magnitude more than the ulp bound.
         net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
         xs = np.random.default_rng(0).standard_normal((2 * BLOCK + 3, 5))
-        full = mc_posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
+        full = posteriors(net, xs, np.arange(len(xs)), PASSES, 3, 1)
         ids = order[:size]
         with mock.patch.object(acquisition, "MC_BLOCK_ROWS", block_rows):
-            rows = mc_posteriors(net, xs, ids, PASSES, 3, 1)
+            rows = posteriors(net, xs, ids, PASSES, 3, 1)
         if block_rows == acquisition.MC_BLOCK_ROWS:
             np.testing.assert_array_equal(rows, full[ids])
         else:
@@ -188,9 +203,9 @@ class TestBlockedForward:
         # other call mates, positions and zero padding in every layer.
         net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
         xs = np.random.default_rng(1).standard_normal((POOL, 5))
-        full = mc_posteriors(net, xs, np.arange(POOL), PASSES, 3, 1)
+        full = posteriors(net, xs, np.arange(POOL), PASSES, 3, 1)
         ids = order[:size]
-        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
+        np.testing.assert_array_equal(posteriors(net, xs, ids, PASSES, 3, 1), full[ids])
 
     @pytest.mark.parametrize("hidden", [[32, 32], [256, 256]])
     @pytest.mark.parametrize("n", [1, BLOCK - 5, BLOCK])
@@ -211,7 +226,7 @@ class TestBlockedForward:
         ]
         expected, _, _ = net.forward_batch(np.repeat(padded, PASSES, axis=0), block_masks)
         np.testing.assert_array_equal(
-            mc_posteriors(net, xs, np.arange(n), PASSES, 7, 5),
+            posteriors(net, xs, np.arange(n), PASSES, 7, 5),
             expected[: n * PASSES].reshape(n, PASSES, 3),
         )
 
@@ -231,16 +246,16 @@ class TestMaskStore:
 
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, POOL - 1), min_size=1, max_size=2 * POOL), st.data())
-    def test_rows_from_a_shared_store_equal_a_store_less_call(self, held, data):
+    def test_rows_from_a_shared_store_equal_those_of_a_store_of_the_ids(self, held, data):
         # A store drawn for the union of several branches' ids serves any
-        # subset of them, in any order, with the rows a call drawing only
-        # that subset's masks computes.
+        # subset of them, in any order, with the rows a store drawn for
+        # only that subset gives.
         net = Network.initialize(5, 3, [32, 32], dropout_rate=0.4, seed=4)
         xs = np.random.default_rng(1).standard_normal((POOL, 5))
         store = dropout_masks(3, 1, held, PASSES, [32, 32], 0.4)
         ids = data.draw(st.lists(st.sampled_from(held), unique=True))
-        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, PASSES, 3, 1, store),
-                                      mc_posteriors(net, xs, ids, PASSES, 3, 1))
+        np.testing.assert_array_equal(mc_posteriors(net, xs, ids, store),
+                                      posteriors(net, xs, ids, PASSES, 3, 1))
 
     @pytest.mark.parametrize("held, ids, missing", [
         ([2, 5, 9], [5, 7, 9], 7),
@@ -251,16 +266,13 @@ class TestMaskStore:
     def test_an_id_the_store_does_not_hold_is_rejected(self, held, ids, missing):
         store = dropout_masks(3, 1, held, PASSES, [8], 0.4)
         with pytest.raises(ValueError, match=f"no masks for instance id {missing}$"):
-            mc_posteriors(make_net(0.4), np.ones((12, 3)), ids, PASSES, 3, 1, store)
+            mc_posteriors(make_net(0.4), np.ones((12, 3)), ids, store)
 
-    @pytest.mark.parametrize("seed, epoch, passes, widths, rate", [
-        (4, 1, PASSES, [8], 0.4), (3, 2, PASSES, [8], 0.4), (3, 1, 10, [8], 0.4),
-        (3, 1, PASSES, [9], 0.4), (3, 1, PASSES, [8], 0.3),
-    ], ids=["seed", "epoch", "passes", "widths", "rate"])
-    def test_a_store_drawn_for_another_key_is_rejected(self, seed, epoch, passes, widths, rate):
-        store = dropout_masks(seed, epoch, [0, 1], passes, widths, rate)
-        with pytest.raises(ValueError, match="another seed, epoch, T or network"):
-            mc_posteriors(make_net(0.4), np.ones((2, 3)), [0, 1], PASSES, 3, 1, store)
+    @pytest.mark.parametrize("widths, rate", [([9], 0.4), ([8], 0.3)], ids=["widths", "rate"])
+    def test_a_store_drawn_for_another_key_is_rejected(self, widths, rate):
+        store = dropout_masks(3, 1, [0, 1], PASSES, widths, rate)
+        with pytest.raises(ValueError, match="another network's widths or dropout rate"):
+            mc_posteriors(make_net(0.4), np.ones((2, 3)), [0, 1], store)
 
 
 class TestGateValues:

@@ -139,7 +139,7 @@ def test_select_top_b_is_ceil_sized_with_stable_ties(levels, b_frac):
     picked = select_top_b(scores, b_frac)
     assert len(picked) == math.ceil(b_frac * len(scores))
     by_rank = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    assert picked == by_rank[: len(picked)]
+    assert picked == sorted(by_rank[: len(picked)])
 
 
 @PROPERTY
