@@ -7,11 +7,12 @@ matters for acquisition.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
+from .data import fraction_count
 from .network import Network
 
 MC_BLOCK_ROWS = 320  # rows per forward call: amortises call overhead, bounds peak memory
@@ -122,7 +123,7 @@ class MaskStore(NamedTuple):
 
 
 def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: int,
-                  widths: list[int], rate: float) -> MaskStore:
+                  widths: Sequence[int], rate: float) -> MaskStore:
     """The masks of `n_passes` dropout passes through trunk layers of
     `widths` units, for each distinct id of `ids`, drawn once and bit-packed.
 
@@ -160,15 +161,12 @@ def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: 
 def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int],
                   store: MaskStore) -> np.ndarray:
     """(len(ids), T, C) softmax rows of T dropout passes over the rows `ids`
-    of features (N, m), T being the one `store` was drawn for.
+    of features (N, m), with the masks and T of `store`.
 
-    The masks are the rows of `store`, drawn by `dropout_masks` for an
-    event's (seed, epoch) and T, which may hold other ids too (an event's
-    store serves every branch of a seed group).  Its trunk widths and
-    dropout rate must be the network's, or it is a ValueError.  An id is
-    looked up in the store by `searchsorted`, and one the store does not
-    hold is a ValueError, never a neighbour's row.  This function draws
-    nothing.
+    The store (from `dropout_masks`) may hold other ids too: an event's store
+    serves every branch of a seed group.  Its trunk widths and dropout rate
+    must be the network's, and each id is looked up by `searchsorted`; either
+    failing is a ValueError, never a neighbour's row.  This draws nothing.
 
     A pass computes only the class rows.  The first trunk layer runs once
     per instance, through `padded_calls` with `per_block * T` rows per call,
@@ -235,9 +233,8 @@ def predictive_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:
-    """Indices of the ceil(b_frac * N) highest scores, ties to lower index,
-    in ascending order."""
+    """Ascending indices of the fraction_count(b_frac, N) top scores, ties to lower index."""
     values = np.asarray(scores, dtype=np.float64)
-    count = math.ceil(b_frac * values.size)
+    count = fraction_count(b_frac, values.size)
     order = np.lexsort((np.arange(values.size), -values))
     return np.sort(order[:count]).tolist()

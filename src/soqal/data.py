@@ -245,6 +245,17 @@ def _rebalance(buckets: list[list[int]], targets: list[int], labels: np.ndarray)
                 break
 
 
+def fraction_count(fraction: float, n: int) -> int:
+    """The smallest k with k / n >= fraction (float division): ceil(fraction
+    * n) but for the product's rounding, which makes 0.14 of 50 eight."""
+    k = math.ceil(fraction * n)
+    while k > 0 and (k - 1) / n >= fraction:
+        k -= 1
+    while k < n and k / n < fraction:
+        k += 1
+    return k
+
+
 def _stratified_take(
     pool: np.ndarray,
     labels: np.ndarray,
@@ -252,8 +263,8 @@ def _stratified_take(
     rng: np.random.Generator,
     stratified: bool,
 ) -> np.ndarray:
-    """Pick ceil(fraction * len(pool)) indices, per-class where possible."""
-    want = max(1, math.ceil(fraction * len(pool)))
+    """Pick max(1, fraction_count(fraction, len(pool))) indices, per-class where possible."""
+    want = max(1, fraction_count(fraction, len(pool)))
     if not stratified:
         return np.sort(rng.permutation(pool)[:want])
     chosen: list[int] = []

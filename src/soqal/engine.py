@@ -265,16 +265,14 @@ def _events(config: ExperimentConfig, branches: list[_Run],
     if not (epoch % al.period == 0 and al.b_frac > 0.0 and len(first.labelled) < len(train)):
         return [None] * len(branches)
     forward = [train[run.assigned[train] < 0] for run in branches]
-    # Strategy draws consume the decision stream in instance-id order; the
-    # candidates keep the sorted train ids' order, so sorted positions give
-    # sorted ids.
+    # Strategy draws consume the decision stream in instance-id order: the
+    # candidates keep the sorted train ids' order and select_top_b's positions ascend.
     if al.acquisition == "random":
         epoch_rng = np.random.default_rng(np.random.SeedSequence([first.log.seed, epoch]))
         rows = select_top_b(epoch_rng.random(len(forward[0])), al.b_frac)
         forward = [candidates[rows] for candidates in forward]
-    widths = [layer.weight.shape[0] for layer in first.net.trunk]
-    store = dropout_masks(first.log.seed, epoch, np.concatenate(forward), al.mc_passes, widths,
-                          first.net.dropout_rate)
+    store = dropout_masks(first.log.seed, epoch, np.concatenate(forward), al.mc_passes,
+                          config.network.hidden, config.network.dropout)
     return [(ids, store) for ids in forward]
 
 

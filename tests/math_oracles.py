@@ -15,6 +15,14 @@ from soqal.gate import GateStats
 from soqal.network import loss_terms
 
 
+def is_fraction_count(k, fraction, n):
+    """Whether k is the smallest count with k / n >= fraction (float
+    division), by that definition; of no items, no count but 0."""
+    if n == 0:
+        return k == 0
+    return k / n >= fraction and (k == 0 or (k - 1) / n < fraction)
+
+
 def hellinger_by_quadrature(mu0, var0, mu1, var1):
     """D_H = sqrt(1 - integral of sqrt(f0 * f1)) for two 1-D Gaussians."""
     s0, s1 = math.sqrt(var0), math.sqrt(var1)

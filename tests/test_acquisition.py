@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
+from math_oracles import is_fraction_count
+
 from soqal import acquisition
 from soqal.acquisition import (
     bald_mcd,
@@ -375,11 +377,17 @@ class TestSelectTopB:
             frac = float(rng.uniform(0.01, 1.0))
             scores = rng.random(n)
             picked = select_top_b(scores, frac)
-            assert len(picked) == math.ceil(frac * n)
+            assert is_fraction_count(len(picked), frac, n)
             assert picked == select_top_b(scores, frac)
             floor = min(scores[i] for i in picked)
             others = [s for i, s in enumerate(scores) if i not in set(picked)]
             assert all(s <= floor for s in others)
+
+    @pytest.mark.parametrize("frac, n, count", [(0.14, 50, 7), (0.07, 100, 7), (0.28, 75, 21)])
+    def test_count_does_not_round_up_on_float_noise(self, frac, n, count):
+        # frac * n is a hair above the integer count, so its ceiling is one more.
+        assert math.ceil(frac * n) == count + 1
+        assert len(select_top_b(np.arange(n, dtype=float), frac)) == count
 
     def test_empty_pool_gives_empty_selection(self):
         assert select_top_b([], 0.5) == []

@@ -516,36 +516,36 @@ PINNED_NUMPY = "2.4.6"
 PINNED_RESULTS = {
     "bald-soqal": (
         "active_learning.acquisition = bald-mcd\nstrategy.name = soqal\n",
-        {0: "264cd6219130", 1: "880e158b0078"},
+        {0: "d7dde5aaaadf", 1: "a2bfc606fa12"},
     ),
     "nnflip-entropy-epsilon": (
         "active_learning.acquisition = entropy\nstrategy.name = epsilon-greedy\n"
         "oracle.kind = nn-flip\noracle.gamma = 0.5\n",
-        {0: "5fd1fc3c881e", 1: "922799be5797"},
+        {0: "4d078cb9eeb1", 1: "5636423894b1"},
     ),
     # 336 labelled rows: Network.predict's gate refit runs 320 rows and then
     # a 16-row last chunk.  One call over all rows, or PREDICT_ROWS = 256 or
     # 640, writes another last digit of d_hellinger in both files.
     "chunked-pool": (
         "dataset.n = 800\nactive_learning.init_labelled_frac = 0.7\n",
-        {0: "80e7f3f60e5e", 1: "73ac47a87a78"},
+        {0: "946c674eef83", 1: "9a9fdf6088b4"},
     ),
 }
 # sha256[:12] of every CSV the benchmark's workloads write on their fixed
 # seed panel (perfbench/workloads.py), on the same numpy version.
 PINNED_PANELS = {
-    "pool-bald": {"results_0.csv": "4d5725e8d208", "summary.csv": "2317c6ac9862"},
-    "train-wide": {"results_0.csv": "e7c72a8315c7", "summary.csv": "9452899d56d7"},
+    "pool-bald": {"results_0.csv": "2062b4047407", "summary.csv": "0dee2c146333"},
+    "train-wide": {"results_0.csv": "d27646b1c8bb", "summary.csv": "a4d6bdc806af"},
     "grid-nnflip": {
-        "askrate.csv": "fc004f856e50",
-        "curves.csv": "fb643bf5b5db",
-        "summary.csv": "fc004f856e50",
-        "soqal/results_0.csv": "0c89a5579405",
-        "soqal/results_1.csv": "5df7c3aca156",
-        "entropy-response/results_0.csv": "3cfc74435130",
-        "entropy-response/results_1.csv": "0eeb14416da8",
-        "epsilon-greedy/results_0.csv": "5b7812fe2001",
-        "epsilon-greedy/results_1.csv": "4c665aa03300",
+        "askrate.csv": "7b3d5d903903",
+        "curves.csv": "108c53876420",
+        "summary.csv": "7b3d5d903903",
+        "soqal/results_0.csv": "546dd8fda143",
+        "soqal/results_1.csv": "95e45eccd4cd",
+        "entropy-response/results_0.csv": "ae8971457a04",
+        "entropy-response/results_1.csv": "a8471da18196",
+        "epsilon-greedy/results_0.csv": "d6783a018167",
+        "epsilon-greedy/results_1.csv": "a44649d0d2f5",
     },
 }
 

@@ -191,7 +191,14 @@ class TestSplit:
     def test_init_labelled_fraction(self):
         data = gen_synthetic("gaussian-blobs", 200, 2, 2, 2.0, seed=12)
         parts = split(data, (0.6, 0.2, 0.2), seed=6, init_labelled_frac=0.1)
-        assert len(parts.init_labelled) == 12  # ceil(0.1 * 120)
+        assert len(parts.init_labelled) == 12  # 0.1 of 120
+
+    def test_init_labelled_count_does_not_round_up_on_float_noise(self):
+        # 0.55 * 180 is a hair above 99, so its ceiling would seed 100.
+        data = gen_synthetic("gaussian-blobs", 300, 2, 2, 2.0, seed=12)
+        parts = split(data, (0.6, 0.2, 0.2), seed=6, init_labelled_frac=0.55)
+        assert len(parts.train) == 180
+        assert len(parts.init_labelled) == 99
 
 
 class TestStandardize:

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import integrate
 from scipy.stats import norm, rankdata
 
-from math_oracles import concordance_auc
+from math_oracles import concordance_auc, is_fraction_count
 from soqal.acquisition import bald_mcd, predictive_entropy, select_top_b
 from soqal.cli import _run_group, main
 from soqal.config import (
@@ -137,7 +137,7 @@ def test_sorted_unique_equals_np_unique(values):
 def test_select_top_b_is_ceil_sized_with_stable_ties(levels, b_frac):
     scores = [level / 4.0 for level in levels]
     picked = select_top_b(scores, b_frac)
-    assert len(picked) == math.ceil(b_frac * len(scores))
+    assert is_fraction_count(len(picked), b_frac, len(scores))
     by_rank = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     assert picked == sorted(by_rank[: len(picked)])
 
@@ -263,14 +263,15 @@ def test_run_conserves_the_pool_and_records_provenance(case):
     assert len(ids) == len(set(ids))
     assert set(ids) <= train - initial
 
-    # Every multiple of the period moves ceil(b * remaining) ids while the
-    # pool is non-empty; the event index counts those events from 0.
+    # Every multiple of the period moves the smallest k ids with
+    # k / remaining >= b while the pool is non-empty; the event index counts
+    # those events from 0.
     moved = Counter(a.epoch for a in log.acquisitions)
     events, labelled, asked, acquired = [], len(initial), 0, 0
     for row in log.epochs:
         remaining = len(train) - labelled
         if row.epoch % al.period == 0 and al.b_frac > 0.0:
-            assert moved[row.epoch] == math.ceil(al.b_frac * remaining)
+            assert is_fraction_count(moved[row.epoch], al.b_frac, remaining)
             events.append(row.epoch)
         else:
             assert moved[row.epoch] == 0
