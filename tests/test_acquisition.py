@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from math_oracles import is_fraction_count
-
 from soqal import acquisition
 from soqal.acquisition import (
     bald_mcd,
