@@ -6,7 +6,6 @@ matters for acquisition.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -15,7 +14,7 @@ import numpy as np
 from .data import fraction_count
 from .network import Network
 
-MC_BLOCK_ROWS = 320  # rows per forward call: amortises call overhead, bounds peak memory
+MC_BLOCK_ROWS = 320  # rows per MC block: amortises call overhead, bounds peak memory
 MAX_ID = 2**32  # ids are one uint32 word of the mask stream key
 
 # numpy's SeedSequence hash constants (INIT_A, MULT_A; INIT_B, MULT_B;
@@ -94,26 +93,6 @@ def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> list[tuple[int, int]]
     return keys
 
 
-def padded_calls(fn, rows: np.ndarray, call_rows: int) -> np.ndarray:
-    """`fn`'s output rows for (N, m) `rows`, from calls of exactly `call_rows`
-    rows each.  The rows are filled up with zero rows to a whole number of
-    calls, at least one, and the output keeps the padding rows.
-
-    A BLAS product may round a row differently with the row count of its
-    call, not with its call mates, so a row's output is then the same bytes
-    whatever other rows, and however many, are passed with it.
-    """
-    padded = np.zeros((max(1, math.ceil(len(rows) / call_rows)) * call_rows, rows.shape[1]))
-    padded[:len(rows)] = rows
-    return np.concatenate([fn(padded[i:i + call_rows]) for i in range(0, len(padded), call_rows)])
-
-
-def gate_values(net: Network, rows: np.ndarray) -> np.ndarray:
-    """Deterministic-pass gate outputs (N,) of (N, m) rows, from padded calls
-    of MC_BLOCK_ROWS rows: a row's value does not depend on N."""
-    return padded_calls(lambda x: net.forward_batch(x)[1], rows, MC_BLOCK_ROWS)[:len(rows)]
-
-
 class MaskStore(NamedTuple):
     """The kept bits of MC-dropout masks, one packed row per instance id."""
 
@@ -168,14 +147,14 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
     must be the network's, and each id is looked up by `searchsorted`; either
     failing is a ValueError, never a neighbour's row.  This draws nothing.
 
-    A pass computes only the class rows.  The first trunk layer runs once
-    per instance, through `padded_calls` with `per_block * T` rows per call,
-    and is then repeated T times before its masks apply; the later layers
-    and the class head run on blocks of `per_block` instances, T rows each,
-    and the gate head is skipped.  Every call has `per_block * T` rows:
-    short calls are filled with zero feature rows and all-kept masks.  So
-    an instance's rows are the same bytes in any id subset for the fixed
-    MC_BLOCK_ROWS (not across block sizes or BLAS builds).
+    A pass computes only the class rows, on blocks of `MC_BLOCK_ROWS // T`
+    instances (at least one), T rows each.  The first trunk layer runs once
+    on a block's feature rows, then is repeated T times before its masks
+    apply; the later layers and the class head run on the repeated rows, and
+    the gate head is skipped.  A call holds only its block's rows, and a
+    BLAS product may round a row with its call's row count, so a block's
+    rows depend on its instances and on MC_BLOCK_ROWS: the same ids give
+    the same bytes, while another id subset may move a row by ulps.
     """
     ids = np.asarray(ids, dtype=np.int64)
     _, _, n_passes, widths, rate = store.key
@@ -188,24 +167,19 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
         raise ValueError(f"the mask store holds no masks for instance id {ids[~held][0]}")
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    packed = np.empty((per_block, store.bits.shape[1]), dtype=np.uint8)
     probs = np.empty((len(ids), n_passes, net.n_classes))
-    first = padded_calls(lambda x: net.trunk_layer(0, x), features[ids], per_block * n_passes)
     for start in range(0, len(ids), per_block):
-        count = min(per_block, len(ids) - start)
-        packed[:count] = store.bits[at[start:start + count]]
-        packed[count:] = 0xFF  # padding rows: all kept
-        kept = np.unpackbits(packed, axis=1, count=bounds[-1]).view(bool)
+        block = slice(start, start + per_block)
+        kept = np.unpackbits(store.bits[at[block]], axis=1, count=bounds[-1]).view(bool)
         masks = [  # bool: `h *= mask` casts it to the exact 0.0 and 1.0 of make_masks
             kept[:, lo:hi].reshape(-1, width)
             for lo, hi, width in zip(bounds, bounds[1:], widths)
         ]
-        h = np.repeat(first[start:start + per_block], n_passes, axis=0)
+        h = np.repeat(net.trunk_layer(0, features[ids[block]]), n_passes, axis=0)
         net.drop(h, masks[0])
         for idx in range(1, len(widths)):
             h = net.trunk_layer(idx, h, masks[idx])
-        rows = net.class_probs(h)[:count * n_passes]
-        probs[start:start + count] = rows.reshape(count, n_passes, net.n_classes)
+        probs[block] = net.class_probs(h).reshape(-1, n_passes, net.n_classes)
     if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
         raise ValueError("posterior rows must sum to 1")
     return probs

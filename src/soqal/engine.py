@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .acquisition import MaskStore, bald_mcd, dropout_masks, gate_values, mc_posteriors
+from .acquisition import MaskStore, bald_mcd, dropout_masks, mc_posteriors
 from .acquisition import predictive_entropy, select_top_b
 from .config import ExperimentConfig, StrategyConfig, canonical_lines, validate
 from .data import Dataset, SplitIndices, gen_synthetic, load_csv, split, standardize
@@ -336,8 +336,8 @@ def _pick(config: ExperimentConfig, run: _Run, ids: np.ndarray,
     with the event's mask store and select (under `random`, `ids` are the
     picks).
 
-    Returns the picked ids, in id order, their deterministic-pass gate
-    values and the row means of their posterior samples.
+    Returns the picked ids, in id order, their gate values from
+    `Network.predict` and the row means of their posterior samples.
     """
     net, features, al = run.net, run.data.features, config.active_learning
     probs = mc_posteriors(net, features, ids, store)
@@ -346,4 +346,4 @@ def _pick(config: ExperimentConfig, run: _Run, ids: np.ndarray,
         rows = select_top_b(scorer(probs), al.b_frac)
         ids, probs = ids[rows], probs[rows]
     picked = ids.tolist()
-    return picked, gate_values(net, features[picked]), probs.mean(axis=1)
+    return picked, net.predict(features[picked])[1], probs.mean(axis=1)

@@ -168,7 +168,8 @@ class Network:
         return class_probs, gate, cache
 
     def predict(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic (class_probs (N, C), gate_outputs (N,)) of (N, m) rows.
+        """Deterministic (class_probs (N, C), gate_outputs (N,)) of (N, m) rows:
+        the forward of the gate refit, validation, test and an event's picks.
 
         Runs `forward_batch` on chunks of at most PREDICT_ROWS rows, writes
         each chunk into preallocated outputs and drops its cache at once, so

@@ -168,6 +168,38 @@ class TestSharedPrefixEquality:
                 assert [a.source == "oracle" for a in acquired] == [True] * n0 + list(
                     draws[n0:] < config.strategy.epsilon_decay)
 
+    @pytest.mark.parametrize("acquisition", ["bald-mcd", "random"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_run_of_a_group_forwards_the_ids_it_forwards_alone(
+        self, tmp_path, monkeypatch, acquisition, seed
+    ):
+        """A branch's MC pass forwards the sorted ids that each of its
+        members forwards alone, so no row of its calls depends on which other
+        runs share the group."""
+        cfg = grid_config(tmp_path, "oracle.kind = nn-flip\noracle.gamma = 0.3\n"
+                                    "training.epochs = 16\n"
+                                    f"active_learning.acquisition = {acquisition}\n")
+        base = load_config(cfg)
+        configs = [apply_setting(base, "strategy.name", name) for name in STRATEGY_NAMES]
+        forwarded = []
+        original = soqal.engine._pick
+
+        def recording(config, run, ids, store):
+            forwarded.extend((index, store.key[1], ids.tolist()) for index, _, _ in run.members)
+            return original(config, run, ids, store)
+
+        monkeypatch.setattr(soqal.engine, "_pick", recording)
+        forks = counting(monkeypatch, soqal.engine, "_fork")
+        soqal.engine._run_branches([(config, seed) for config in configs])
+        assert forks  # the group splits into several branches
+        grouped = list(forwarded)
+        for i, config in enumerate(configs):
+            forwarded.clear()
+            soqal.engine._run_branches([(config, seed)])
+            alone = [(epoch, ids) for _, epoch, ids in forwarded]
+            assert [epoch for epoch, _ in alone] == [5, 10, 15]
+            assert [(epoch, ids) for index, epoch, ids in grouped if index == i] == alone
+
     def test_b_one_empties_the_pool_at_the_shared_event(self, tmp_path):
         config = apply_setting(load_config(grid_config(tmp_path, "active_learning.b = 1.0\n")),
                                "strategy.name", "epsilon-greedy")
