@@ -7,12 +7,13 @@ matters for acquisition.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import fraction_count
-from .network import Network
+from .network import Network, row_sums, softmax
 
 MC_BLOCK_ROWS = 320  # rows per MC block: amortises call overhead, bounds peak memory
 MAX_ID = 2**32  # ids are one uint32 word of the mask stream key
@@ -151,10 +152,13 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
     instances (at least one), T rows each.  The first trunk layer runs once
     on a block's feature rows, then is repeated T times before its masks
     apply; the later layers and the class head run on the repeated rows, and
-    the gate head is skipped.  A call holds only its block's rows, and a
-    BLAS product may round a row with its call's row count, so a block's
-    rows depend on its instances and on MC_BLOCK_ROWS: the same ids give
-    the same bytes, while another id subset may move a row by ulps.
+    the gate head is skipped.  Inverted dropout's 1 / (1 - rate) is folded
+    into the weights of the layer that reads each dropped layer, once per
+    call, so a mask is one multiply.  The rows are thus within ulps of
+    `forward_batch`'s, not its bits.  A call holds only its block's rows,
+    and a BLAS product may round a row with its call's row count, so a
+    block's rows depend on its instances and on MC_BLOCK_ROWS: the same ids
+    give the same bytes, while another id subset may move a row by ulps.
     """
     ids = np.asarray(ids, dtype=np.int64)
     _, _, n_passes, widths, rate = store.key
@@ -167,20 +171,22 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
         raise ValueError(f"the mask store holds no masks for instance id {ids[~held][0]}")
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
+    scaled = [(layer.weight.T / (1.0 - rate), layer.bias)
+              for layer in [*net.trunk[1:], net.class_head]]
     probs = np.empty((len(ids), n_passes, net.n_classes))
     for start in range(0, len(ids), per_block):
         block = slice(start, start + per_block)
         kept = np.unpackbits(store.bits[at[block]], axis=1, count=bounds[-1]).view(bool)
-        masks = [  # bool: `h *= mask` casts it to the exact 0.0 and 1.0 of make_masks
-            kept[:, lo:hi].reshape(-1, width)
-            for lo, hi, width in zip(bounds, bounds[1:], widths)
-        ]
         h = np.repeat(net.trunk_layer(0, features[ids[block]]), n_passes, axis=0)
-        net.drop(h, masks[0])
-        for idx in range(1, len(widths)):
-            h = net.trunk_layer(idx, h, masks[idx])
-        probs[block] = net.class_probs(h).reshape(-1, n_passes, net.n_classes)
-    if not np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9):
+        for idx, (weight, bias) in enumerate(scaled):
+            if idx:
+                np.maximum(h, 0.0, out=h)
+            passes = h.reshape(len(kept), -1)  # an instance's T rows, side by side
+            passes *= kept[:, bounds[idx]:bounds[idx + 1]]  # bool: the exact 0.0 and 1.0
+            h = h @ weight
+            h += bias
+        probs[block] = softmax(h).reshape(-1, n_passes, net.n_classes)
+    if not np.allclose(row_sums(probs), 1.0, atol=1e-9):
         raise ValueError("posterior rows must sum to 1")
     return probs
 
@@ -188,7 +194,14 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Entropy of each distribution along the last axis, with 0 log 0 = 0."""
     logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    return -(probs * logs).sum(axis=-1)
+    return -row_sums(probs * logs)
+
+
+def pass_mean(probs: np.ndarray) -> np.ndarray:
+    """Mean row of each (T, C) stack in a (..., T, C) array, several times
+    faster for small C: for C >= 2 numpy adds the T rows in order too, so
+    these are `probs.mean(axis=-2)`'s bits, up to `row_sums`' -0.0 case."""
+    return reduce(np.add, np.moveaxis(probs, -2, 0)) / probs.shape[-2]
 
 
 def bald_mcd(probs: np.ndarray) -> np.ndarray:
@@ -198,12 +211,12 @@ def bald_mcd(probs: np.ndarray) -> np.ndarray:
     Non-negative by Jensen's inequality and zero exactly when all rows agree.
     """
     mean_entropy = entropy(probs).mean(axis=-1)
-    return np.maximum(0.0, entropy(probs.mean(axis=-2)) - mean_entropy)
+    return np.maximum(0.0, entropy(pass_mean(probs)) - mean_entropy)
 
 
 def predictive_entropy(probs: np.ndarray) -> np.ndarray:
     """Entropy of the mean row of each (T, C) stack, in [0, ln C]."""
-    return entropy(probs.mean(axis=-2))
+    return entropy(pass_mean(probs))
 
 
 def select_top_b(scores: np.ndarray | list[float], b_frac: float) -> list[int]:

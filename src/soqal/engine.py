@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .acquisition import MaskStore, bald_mcd, dropout_masks, mc_posteriors
-from .acquisition import predictive_entropy, select_top_b
+from .acquisition import pass_mean, predictive_entropy, select_top_b
 from .config import ExperimentConfig, StrategyConfig, canonical_lines, validate
 from .data import Dataset, SplitIndices, gen_synthetic, load_csv, split, standardize
 from .errors import ConfigError
@@ -346,4 +346,4 @@ def _pick(config: ExperimentConfig, run: _Run, ids: np.ndarray,
         rows = select_top_b(scorer(probs), al.b_frac)
         ids, probs = ids[rows], probs[rows]
     picked = ids.tolist()
-    return picked, net.predict(features[picked])[1], probs.mean(axis=1)
+    return picked, net.predict(features[picked])[1], pass_mean(probs)

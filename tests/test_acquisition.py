@@ -13,6 +13,7 @@ from soqal.acquisition import (
     bald_mcd,
     dropout_masks,
     mc_posteriors,
+    pass_mean,
     predictive_entropy,
     select_top_b,
     stream_keys,
@@ -112,7 +113,13 @@ class TestStreamKeys:
         assert keys == expected
 
 
+MAX_ULPS = 256  # largest seen at hidden 32,32: 45 (OpenBLAS 0.3.31)
+
+
 class TestPosteriors:
+    # The MC pass folds the dropout scale into the next layer's weights, so
+    # its rows are within ulps of forward_batch's; the mask bits themselves
+    # are pinned exactly by TestMaskStore.
     def test_stacks_one_seeded_stream_per_instance(self):
         net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
         features = np.random.default_rng(1).standard_normal((6, 3))
@@ -123,7 +130,7 @@ class TestPosteriors:
             rng = np.random.default_rng(np.random.SeedSequence([7, 2, i]))
             tiled = np.repeat(features[i][None], 5, axis=0)
             expected, _, _ = net.forward_batch(tiled, net.make_masks(5, rng))
-            np.testing.assert_array_equal(row, expected)
+            np.testing.assert_array_max_ulp(row, expected, maxulp=MAX_ULPS)
 
     def test_passes_come_from_the_store(self):
         net = Network.initialize(3, 4, [8], dropout_rate=0.4, seed=0)
@@ -131,19 +138,21 @@ class TestPosteriors:
         ids = [0, 2, 5]
         probs = mc_posteriors(net, features, ids, dropout_masks(4, 3, ids, 7, [8], 0.4))
         assert probs.shape == (3, 7, 4)
-        np.testing.assert_array_equal(probs, reference_posteriors(net, features, ids, 7, 4, 3))
+        np.testing.assert_array_max_ulp(probs, reference_posteriors(net, features, ids, 7, 4, 3),
+                                        maxulp=MAX_ULPS)
 
-    def test_rows_must_sum_to_one(self, monkeypatch):
+    @pytest.mark.parametrize("bad", [[0.5, 0.4], [np.nan, 0.5], [0.5, 0.5 + 2e-5]],
+                             ids=["short", "nan", "off-by-2e-5"])
+    def test_rows_must_sum_to_one(self, monkeypatch, bad):
         net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
-        rows = np.array([[0.5, 0.5], [0.5, 0.4]])
-        monkeypatch.setattr(net, "class_probs", lambda top: rows)
+        rows = np.array([[0.5, 0.5], bad])
+        monkeypatch.setattr(acquisition, "softmax", lambda logits: rows)
         with pytest.raises(ValueError, match="sum to 1"):
             posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
 
 PASSES = 20
 BLOCK = acquisition.MC_BLOCK_ROWS // PASSES  # instances per block
-MAX_ULPS = 256  # largest seen at hidden 32,32: 32 (OpenBLAS 0.3.31)
 POOL = acquisition.MC_BLOCK_ROWS + 2 * BLOCK + 3  # instances: 23 blocks, the last one short
 
 
@@ -168,19 +177,25 @@ class TestBlockedForward:
 
     def test_each_layer_runs_on_the_given_rows_only(self):
         # No call is filled up to a fixed row count: the first layer sees
-        # each instance once, every later layer its T masked rows.
+        # each instance once, and the class head its T masked rows.
         net = Network.initialize(5, 3, [16, 12, 8], dropout_rate=0.4, seed=4)
         ids = np.arange(2 * BLOCK + 3)
-        seen = {}
-        layer = net.trunk_layer
+        seen = {"layer 0": 0, "class rows": 0}
+        layer, softmax = net.trunk_layer, acquisition.softmax
 
-        def counted(idx, h, mask=None):
-            seen[idx] = seen.get(idx, 0) + len(h)
+        def counted_layer(idx, h, mask=None):
+            assert idx == 0
+            seen["layer 0"] += len(h)
             return layer(idx, h, mask)
 
-        with mock.patch.object(net, "trunk_layer", counted):
+        def counted_softmax(logits):
+            seen["class rows"] += len(logits)
+            return softmax(logits)
+
+        with mock.patch.object(net, "trunk_layer", counted_layer), \
+                mock.patch.object(acquisition, "softmax", counted_softmax):
             posteriors(net, np.ones((len(ids), 5)), ids, PASSES, 3, 1)
-        assert seen == {0: len(ids), 1: len(ids) * PASSES, 2: len(ids) * PASSES}
+        assert seen == {"layer 0": len(ids), "class rows": len(ids) * PASSES}
 
     @settings(derandomize=True, deadline=None)
     @given(
@@ -201,12 +216,15 @@ class TestBlockedForward:
             rows = posteriors(net, xs, ids, PASSES, 3, 1)
         np.testing.assert_array_max_ulp(rows, full[ids], maxulp=MAX_ULPS)
 
-    @pytest.mark.parametrize("hidden", [[32, 32], [256, 256]])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("hidden", [[32, 32], [256, 256], [24, 16, 8]])
     @pytest.mark.parametrize("n", [1, BLOCK - 5, BLOCK])
-    def test_class_rows_stay_within_ulps_of_forward_batch_on_the_block(self, hidden, n):
+    def test_class_rows_stay_within_ulps_of_forward_batch_on_the_block(self, hidden, n, dropout):
         # forward_batch runs the first layer on the T repeated rows of each
-        # instance; the MC pass runs it once per instance, then repeats it.
-        net = Network.initialize(5, 3, hidden, dropout_rate=0.4, seed=4)
+        # instance and divides each dropped layer by 1 - rate; the MC pass
+        # runs the first layer once per instance, then repeats it, and
+        # divides the weights that read each dropped layer instead.
+        net = Network.initialize(5, 3, hidden, dropout_rate=dropout, seed=4)
         xs = np.random.default_rng(n).standard_normal((n, 5))
         instance_masks = [
             net.make_masks(PASSES, np.random.default_rng(np.random.SeedSequence([7, 5, i])))
@@ -365,6 +383,26 @@ def random_stacks(rng, n, n_passes, n_classes):
     hot = rng.random((n, n_passes)) < 0.2
     probs[hot] = np.eye(n_classes)[rng.integers(0, n_classes, size=int(hot.sum()))]
     return probs
+
+
+class TestPassMean:
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(0, 50), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(50, 40, 12, 0)
+    @example(50, 40, 1, 0)
+    def test_bits_equal_mean_over_the_passes(self, n, n_passes, n_classes, seed):
+        # Guards the premise that numpy adds the T rows of a middle axis in
+        # order.  A lone column (C = 1) it sums pairwise instead, but the only
+        # distribution over one class is 1.0, which both sum exactly.
+        rng = np.random.default_rng(seed)
+        shape = (n, n_passes, n_classes)
+        if n_classes == 1:
+            probs = np.ones(shape)
+        else:
+            probs = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        expected = probs.mean(axis=-2)
+        np.testing.assert_array_equal(pass_mean(probs).view(np.uint64), expected.view(np.uint64))
+        assert pass_mean(probs).shape == expected.shape
 
 
 class TestStackedScores:

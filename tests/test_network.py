@@ -17,6 +17,7 @@ from soqal.network import (
     clamp_probs,
     compute_beta,
     loss_terms,
+    row_sums,
     sigmoid,
     softmax,
     train_epoch,
@@ -309,9 +310,23 @@ def same_bits_but_nan_sign(a, b):
 
 
 class TestElementwiseFormulations:
-    """The column-wise softmax max, the branch-free sigmoid and the
-    minimum-of-maximum clamp give the bits of the formulations they
+    """The column-wise row sum and softmax max, the branch-free sigmoid and
+    the minimum-of-maximum clamp give the bits of the formulations they
     replaced, which serve as oracles here."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=2), st.integers(1, 12),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.5]))
+    @example([50, 40], 7, 0, 0.05)
+    @example([3], 8, 0, 0.0)
+    def test_row_sums_match_sum_over_the_last_axis(self, lead, cols, seed, special_frac):
+        # Guards the premise that numpy adds fewer than eight entries in order.
+        # `+ 0.0` maps the -0.0 sum of a row of -0.0 to numpy's +0.0 and
+        # changes no other value.
+        values = special_array((*lead, cols), seed, special_frac)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(row_sums(values) + 0.0, values.sum(axis=-1))
+        assert same_bits(row_sums(np.full((2, cols), -0.0)), np.full(2, -0.0 if cols < 8 else 0.0))
 
     @settings(derandomize=True, deadline=None)
     @given(st.integers(1, 5000), st.integers(0, 2**32 - 1),
