@@ -154,7 +154,8 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
     apply; the later layers and the class head run on the repeated rows, and
     the gate head is skipped.  Inverted dropout's 1 / (1 - rate) is folded
     into the weights of the layer that reads each dropped layer, once per
-    call, so a mask is one multiply.  The rows are thus within ulps of
+    call and in C order (a faster BLAS product than a transposed view), so
+    a mask is one multiply.  The rows are thus within ulps of
     `forward_batch`'s, not its bits.  A call holds only its block's rows,
     and a BLAS product may round a row with its call's row count, so a
     block's rows depend on its instances and on MC_BLOCK_ROWS: the same ids
@@ -171,7 +172,7 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
         raise ValueError(f"the mask store holds no masks for instance id {ids[~held][0]}")
     bounds = (n_passes * np.cumsum([0, *widths])).tolist()
     per_block = max(1, MC_BLOCK_ROWS // n_passes)
-    scaled = [(layer.weight.T / (1.0 - rate), layer.bias)
+    scaled = [(np.divide(layer.weight.T, 1.0 - rate, order="C"), layer.bias)
               for layer in [*net.trunk[1:], net.class_head]]
     probs = np.empty((len(ids), n_passes, net.n_classes))
     for start in range(0, len(ids), per_block):

@@ -113,7 +113,7 @@ class TestStreamKeys:
         assert keys == expected
 
 
-MAX_ULPS = 256  # largest seen at hidden 32,32: 45 (OpenBLAS 0.3.31)
+MAX_ULPS = 256  # largest seen against forward_batch: 42, at hidden 24,16,8 (OpenBLAS 0.3.31)
 
 
 class TestPosteriors:
@@ -400,9 +400,9 @@ class TestPassMean:
             probs = np.ones(shape)
         else:
             probs = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-        expected = probs.mean(axis=-2)
-        np.testing.assert_array_equal(pass_mean(probs).view(np.uint64), expected.view(np.uint64))
-        assert pass_mean(probs).shape == expected.shape
+        mean, expected = pass_mean(probs), probs.mean(axis=-2)
+        assert mean.shape == expected.shape
+        np.testing.assert_array_equal(mean.view(np.uint64), expected.view(np.uint64))
 
 
 class TestStackedScores:
