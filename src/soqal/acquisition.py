@@ -182,8 +182,8 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
         for idx, (weight, bias) in enumerate(scaled):
             if idx:
                 np.maximum(h, 0.0, out=h)
-            passes = h.reshape(len(kept), -1)  # an instance's T rows, side by side
-            passes *= kept[:, bounds[idx]:bounds[idx + 1]]  # bool: the exact 0.0 and 1.0
+            # bool, cast to the exact 0.0 and 1.0; copied, as a strided view raised peak RSS
+            h *= kept[:, bounds[idx]:bounds[idx + 1]].reshape(len(h), -1)
             h = h @ weight
             h += bias
         probs[block] = softmax(h).reshape(-1, n_passes, net.n_classes)
