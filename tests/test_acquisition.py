@@ -141,14 +141,13 @@ class TestPosteriors:
         np.testing.assert_array_max_ulp(probs, reference_posteriors(net, features, ids, 7, 4, 3),
                                         maxulp=MAX_ULPS)
 
-    @pytest.mark.parametrize("bad", [[0.5, 0.4], [np.nan, 0.5], [0.5, 0.5 + 2e-5]],
-                             ids=["short", "nan", "off-by-2e-5"])
-    def test_rows_must_sum_to_one(self, monkeypatch, bad):
+    def test_rows_must_sum_to_one(self, monkeypatch):
         net = Network.initialize(3, 2, [8], dropout_rate=0.4, seed=0)
-        rows = np.array([[0.5, 0.5], bad])
-        monkeypatch.setattr(acquisition, "softmax", lambda logits: rows)
-        with pytest.raises(ValueError, match="sum to 1"):
-            posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
+        for bad in ([0.5, 0.4], [np.nan, 0.5], [0.5, 0.5 + 2e-5]):  # 2e-5: just past the tolerance
+            rows = np.array([[0.5, 0.5], bad])
+            monkeypatch.setattr(acquisition, "softmax", lambda logits, rows=rows: rows)
+            with pytest.raises(ValueError, match="sum to 1"):
+                posteriors(net, np.ones((2, 3)), [0, 1], 1, seed=0, epoch=1)
 
 
 PASSES = 20
@@ -216,10 +215,11 @@ class TestBlockedForward:
             rows = posteriors(net, xs, ids, PASSES, 3, 1)
         np.testing.assert_array_max_ulp(rows, full[ids], maxulp=MAX_ULPS)
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.4])
-    @pytest.mark.parametrize("hidden", [[32, 32], [256, 256], [24, 16, 8]])
+    @pytest.mark.parametrize("hidden, dropout", [
+        ([32, 32], 0.4), ([256, 256], 0.4), ([24, 16, 8], 0.4), ([32, 32], 0.0), ([24, 16, 8], 0.0),
+    ], ids=["hidden0", "hidden1", "three-layers", "no-dropout", "three-layers-no-dropout"])
     @pytest.mark.parametrize("n", [1, BLOCK - 5, BLOCK])
-    def test_class_rows_stay_within_ulps_of_forward_batch_on_the_block(self, hidden, n, dropout):
+    def test_class_rows_stay_within_ulps_of_forward_batch_on_the_block(self, hidden, dropout, n):
         # forward_batch runs the first layer on the T repeated rows of each
         # instance and divides each dropped layer by 1 - rate; the MC pass
         # runs the first layer once per instance, then repeats it, and
