@@ -181,7 +181,7 @@ def mc_posteriors(net: Network, features: np.ndarray, ids: np.ndarray | list[int
         h = np.repeat(net.trunk_layer(0, features[ids[block]]), n_passes, axis=0)
         for idx, (weight, bias) in enumerate(scaled):
             if idx:
-                np.maximum(h, 0.0, out=h)
+                np.maximum(h, 0.0, out=h)  # trunk layer idx's rectifier; trunk_layer did layer 0's
             # bool, cast to the exact 0.0 and 1.0; copied, as a strided view raised peak RSS
             h *= kept[:, bounds[idx]:bounds[idx + 1]].reshape(len(h), -1)
             h = h @ weight
