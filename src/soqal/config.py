@@ -222,7 +222,6 @@ def validate(config: ExperimentConfig) -> None:
         (d.source in ("synthetic", "csv"), "dataset.source"),
         (d.source != "csv" or d.csv_path != "", "dataset.csv_path"),
         (d.source == "csv" or d.kind in SYNTHETIC_KINDS, "dataset.kind"),
-        (d.n >= 10 * d.classes, "dataset.n"),
         (math.isfinite(d.separation), "dataset.separation"),
         (d.classes >= 2, "dataset.classes"),
         (d.train_frac > 0.0, "dataset.train_frac"),
@@ -262,6 +261,7 @@ def validate(config: ExperimentConfig) -> None:
     ]
     if d.source == "synthetic":  # the generators' shapes; a CSV brings its own
         checks += [
+            (d.n >= 10 * d.classes, "dataset.n"),
             (d.features >= 1, "dataset.features"),
             (d.kind != "gaussian-blobs" or d.features >= d.classes, "dataset.features"),
             (d.kind != "ring-vs-blob" or d.classes == 2, "dataset.classes"),

@@ -341,13 +341,14 @@ class TestRun:
             # Finite, but the top class's offset, separation * (classes - 1), is not.
             (["dataset.kind=noisy-sine-classes", "dataset.classes=3", "dataset.separation=1e308"],
              "dataset.separation"),
+            (["network.dropout=1.0"], "network.dropout"),
         ],
         ids=["zero-fraction", "no-features", "ring-three-classes", "repeated-seed",
              "negative-seed", "nan-separation", "inf-separation", "inf-learning-rate",
              "too-few-instances", "fractions-not-summing-to-one", "zero-epsilon-decay",
              "zero-init-labelled", "no-hidden-layer", "zero-width-layer",
              "zero-width-second-layer", "negative-width-layer", "zero-row-train-split",
-             "sine-offset-overflow"],
+             "sine-offset-overflow", "dropout-one"],
     )
     def test_out_of_range_value_exits_one_before_writing(
         self, config_path, tmp_path, capsys, settings, key
@@ -429,15 +430,19 @@ class TestRun:
         )
 
     def test_parallel_jobs_match_sequential(self, config_path, tmp_path):
-        for case, strategies in enumerate([[], ["full-oracle", "no-oracle"]]):
-            argv = ["run", "--config", config_path]
-            for name in strategies:
-                argv += ["--strategy", name]
+        cases = [
+            (["run"], 1),
+            (["run", "--strategy", "full-oracle", "--strategy", "no-oracle"], 2),
+            # A sweep's variant configs cross into the pool's workers by pickle.
+            (["sweep", "--param", "oracle.gamma", "--values", "0.1,0.3"], 2),
+        ]
+        for case, (args, variants) in enumerate(cases):
+            argv = [*args, "--config", config_path]
             seq, par = tmp_path / f"seq{case}", tmp_path / f"par{case}"
             assert main(argv + ["--out", str(seq)]) == 0
             assert main(argv + ["--jobs", "2", "--out", str(par)]) == 0
             names = sorted(str(p.relative_to(seq)) for p in seq.rglob("*.csv"))
-            assert len(names) == 1 + 2 * max(1, len(strategies))  # summary + results
+            assert len(names) == 1 + 2 * variants  # summary + results
             assert names == sorted(str(p.relative_to(par)) for p in par.rglob("*.csv"))
             for name in names:
                 assert (seq / name).read_bytes() == (par / name).read_bytes()

@@ -181,7 +181,8 @@ class TestValidate:
     def test_csv_source_skips_synthetic_shape_rules(self):
         cfg = ExperimentConfig()
         for name, value in {"dataset.source": "csv", "dataset.csv_path": "d.csv",
-                            "dataset.kind": "unused", "dataset.features": "0"}.items():
+                            "dataset.kind": "unused", "dataset.features": "0",
+                            "dataset.n": "5"}.items():
             cfg = apply_setting(cfg, name, value)
         validate(cfg)
 
