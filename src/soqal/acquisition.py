@@ -6,6 +6,7 @@ matters for acquisition.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator, Sequence
 from functools import reduce
 from typing import NamedTuple
@@ -19,14 +20,11 @@ MC_BLOCK_ROWS = 320  # rows per MC block: amortises call overhead, bounds peak m
 MAX_ID = 2**32  # ids are one uint32 word of the mask stream key
 
 # numpy's SeedSequence hash constants (INIT_A, MULT_A; INIT_B, MULT_B;
-# MIX_MULT_L, MIX_MULT_R in numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit multiplier.
+# MIX_MULT_L, MIX_MULT_R in numpy/random/bit_generator.pyx).
 MASK32 = 0xFFFF_FFFF
 MIX_ENTROPY = (0x43B0_D7E5, 0x931E_8875)  # (initial constant, multiplier)
 GENERATE_STATE = (0x8B51_F9DD, 0x58F3_8DED)
 MIX_LEFT, MIX_RIGHT = 0xCA01_F9DD, 0x4973_F715
-PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-MASK128 = (1 << 128) - 1
 
 
 def _words(n: int) -> list[int]:
@@ -59,14 +57,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of `PCG64(SeedSequence([seed, epoch, i]))` for every
-    id i in a uint32 array, computed for all ids at once.
+def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> np.ndarray:
+    """One uint64 row [state_lo, state_hi, inc_lo, inc_hi] per id i of a
+    uint32 array: `PCG64(SeedSequence([seed, epoch, i]))`, one step early.
 
     Follows numpy's SeedSequence entropy mix and `generate_state(4, uint64)`
-    in uint32 array arithmetic, which wraps like its C code, then PCG64's
-    seeding in exact 128-bit ints.  Only the last entropy word, the id,
-    varies; the others are one-element arrays that broadcast.
+    in uint32 array arithmetic, which wraps like its C code; only the id
+    varies, the other entropy words broadcast.  PCG64's seeding ends with
+    `state = (initstate + inc) * MULT + inc`, so the earlier state is the
+    128-bit sum `initstate + inc`: one carry, no multiply.
     """
     entropy = [np.array([w], dtype=np.uint32) for w in _words(int(seed)) + _words(int(epoch))]
     entropy.append(ids)
@@ -85,13 +84,11 @@ def stream_keys(seed: int, epoch: int, ids: np.ndarray) -> list[tuple[int, int]]
     schedule = _hash_schedule(*GENERATE_STATE)
     halves = [_hash(pool[k % 4], schedule).astype(np.uint64) for k in range(8)]
     high_state, low_state, high_seq, low_seq = (
-        (halves[k] | halves[k + 1] << 32).tolist() for k in range(0, 8, 2)
-    )
-    keys = []
-    for hs, ls, hq, lq in zip(high_state, low_state, high_seq, low_seq):
-        inc = ((hq << 64 | lq) << 1 | 1) & MASK128
-        keys.append(((((hs << 64 | ls) + inc) * PCG_MULT + inc) & MASK128, inc))
-    return keys
+        halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2))
+    inc_lo, inc_hi = low_seq << 1 | 1, high_seq << 1 | low_seq >> 63  # initseq << 1 | 1
+    # The low add's carry, as bit 63 of the halved sum: a `<` pages in 64 KB more numpy code.
+    carry = ((low_state >> 1) + (inc_lo >> 1) + (low_state & inc_lo & 1)) >> 63
+    return np.stack([low_state + inc_lo, high_state + inc_hi + carry, inc_lo, inc_hi], axis=1)
 
 
 class MaskStore(NamedTuple):
@@ -111,9 +108,11 @@ def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: 
     numpy PCG64 stream seeded by SeedSequence([seed, epoch, i]), kept where
     they are >= rate: layer by layer, each layer's passes in turn.  So its
     masks depend on (seed, epoch, i) alone, never on the network or on the
-    other ids.  The seeding of every stream is computed at once
-    (`stream_keys`); one generator is re-pointed at each id and fills its
-    row of a buffer of `MC_BLOCK_ROWS // n_passes` rows.
+    other ids.  One generator draws the rows, `MC_BLOCK_ROWS // n_passes` at
+    a time: each id's `stream_keys` words go straight into its native 128-bit
+    state, and the first uniform, spent on the step to the seeded state, is
+    dropped.  The first write is read back against numpy's own generator for
+    that id, so another state layout raises RuntimeError, drawing nothing.
     """
     ids = np.sort(np.asarray(ids, dtype=np.int64))
     distinct = np.ones(len(ids), dtype=bool)  # np.unique would import numpy.ma
@@ -123,18 +122,24 @@ def dropout_masks(seed: int, epoch: int, ids: np.ndarray | list[int], n_passes: 
         raise ValueError(f"instance ids must lie in [0, {MAX_ID})")
     keys = stream_keys(seed, epoch, ids.astype(np.uint32))
     row_bits = n_passes * sum(widths)
-    uniforms = np.empty((max(1, MC_BLOCK_ROWS // n_passes), row_bits))
+    uniforms = np.empty((max(1, MC_BLOCK_ROWS // n_passes), row_bits + 1))
     bits = np.empty((len(ids), -(-row_bits // 8)), dtype=np.uint8)
     bitgen = np.random.PCG64(0)
     draw = np.random.Generator(bitgen).random
-    stream = {"state": 0, "inc": 0}
-    bitgen_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+    # numpy's pcg64_state begins with a pointer to the (state, inc) pair.
+    pair = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(pair), dtype=np.uint64)
+    if ids.size:
+        words[:] = keys[0]
+        seeded = np.random.PCG64(np.random.SeedSequence([seed, epoch, int(ids[0])])).advance(-1)
+        if bitgen.state != seeded.state:
+            raise RuntimeError("numpy's PCG64 state is not in the native 128-bit layout")
     for start in range(0, len(ids), len(uniforms)):
         block = uniforms[:len(ids) - start]
-        for row, (stream["state"], stream["inc"]) in zip(block, keys[start:start + len(block)]):
-            bitgen.state = bitgen_state
+        for row, key in zip(block, keys[start:start + len(block)]):
+            words[:] = key
             draw(out=row)
-        bits[start:start + len(block)] = np.packbits(block >= rate, axis=1)
+        bits[start:start + len(block)] = np.packbits(block[:, 1:] >= rate, axis=1)
     return MaskStore((int(seed), int(epoch), n_passes, tuple(widths), rate), ids, bits)
 
 

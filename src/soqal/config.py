@@ -223,7 +223,6 @@ def validate(config: ExperimentConfig) -> None:
         (d.source != "csv" or d.csv_path != "", "dataset.csv_path"),
         (d.source == "csv" or d.kind in SYNTHETIC_KINDS, "dataset.kind"),
         (math.isfinite(d.separation), "dataset.separation"),
-        (d.classes >= 2, "dataset.classes"),
         (d.train_frac > 0.0, "dataset.train_frac"),
         (d.val_frac > 0.0, "dataset.val_frac"),
         (d.test_frac > 0.0, "dataset.test_frac"),
@@ -261,6 +260,7 @@ def validate(config: ExperimentConfig) -> None:
     ]
     if d.source == "synthetic":  # the generators' shapes; a CSV brings its own
         checks += [
+            (d.classes >= 2, "dataset.classes"),
             (d.n >= 10 * d.classes, "dataset.n"),
             (d.features >= 1, "dataset.features"),
             (d.kind != "gaussian-blobs" or d.features >= d.classes, "dataset.features"),

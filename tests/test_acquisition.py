@@ -104,13 +104,19 @@ class TestStreamKeys:
     )
     @example(2**128 - 1, 2**33 - 1, [0, 2**32 - 1])
     @example(2**32, 2**32, [7])
+    @example(0, 0, [0])  # found by search: its low-word add carries, and its high-word add wraps
     def test_matches_numpy_seed_sequence(self, seed, epoch, ids):
+        # Each key is the state one step before the seeded one: stepping it
+        # once gives the seeded generator's whole state.
         keys = stream_keys(seed, epoch, np.array(ids, dtype=np.uint32))
-        expected = []
-        for i in ids:
-            state = np.random.PCG64(np.random.SeedSequence([seed, epoch, i])).state["state"]
-            expected.append((state["state"], state["inc"]))
-        assert keys == expected
+        assert keys.dtype == np.uint64 and keys.shape == (len(ids), 4)
+        for (state_lo, state_hi, inc_lo, inc_hi), i in zip(keys.tolist(), ids):
+            bitgen = np.random.PCG64(0)
+            bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                            "state": {"state": state_hi << 64 | state_lo,
+                                      "inc": inc_hi << 64 | inc_lo}}
+            bitgen.advance(1)
+            assert bitgen.state == np.random.PCG64(np.random.SeedSequence([seed, epoch, i])).state
 
 
 MAX_ULPS = 256  # largest seen against forward_batch: 42, at hidden 24,16,8 (OpenBLAS 0.3.31)
@@ -240,17 +246,34 @@ class TestBlockedForward:
 
 
 class TestMaskStore:
-    def test_rows_are_the_packed_kept_bits_of_each_distinct_id(self):
-        net = Network.initialize(3, 4, [8, 5], dropout_rate=0.4, seed=0)
-        store = dropout_masks(7, 2, [4, 1, 4, 2], PASSES, [8, 5], 0.4)
-        assert store.ids.tolist() == [1, 2, 4]
+    @pytest.mark.parametrize("widths, ids", [
+        ([8, 5], [4, 1, 4, 2]),
+        # More ids than one uniforms block holds, with both ends of the id range.
+        ([32, 32], [2**32 - 1, 0, *range(3, 3 + 5 * BLOCK, 5), 0, 2**32 - 2]),
+    ], ids=["repeated-ids", "several-blocks"])
+    def test_rows_are_the_packed_kept_bits_of_each_distinct_id(self, widths, ids):
+        net = Network.initialize(3, 4, widths, dropout_rate=0.4, seed=0)
+        row_bits = PASSES * sum(widths)
+        store = dropout_masks(7, 2, ids, PASSES, widths, 0.4)
+        assert store.ids.tolist() == sorted(set(ids))
         assert store.bits.dtype == np.uint8
-        assert store.bits.shape == (3, math.ceil(PASSES * 13 / 8))
+        assert store.bits.shape == (len(set(ids)), math.ceil(row_bits / 8))
         for i, row in zip(store.ids, store.bits):
             rng = np.random.default_rng(np.random.SeedSequence([7, 2, int(i)]))
             expected = np.concatenate([m.ravel() for m in net.make_masks(PASSES, rng)])
-            np.testing.assert_array_equal(np.unpackbits(row, count=PASSES * 13).view(bool),
+            np.testing.assert_array_equal(np.unpackbits(row, count=row_bits).view(bool),
                                           expected)
+
+    def test_key_words_in_another_order_raise_before_any_row_is_drawn(self, monkeypatch):
+        # High words first, as numpy builds without a native 128-bit integer
+        # store them: the read-back check must refuse, not draw other masks.
+        original = acquisition.stream_keys
+        monkeypatch.setattr(acquisition, "stream_keys",
+                            lambda *args: original(*args)[:, [1, 0, 3, 2]])
+        store = None
+        with pytest.raises(RuntimeError, match="native 128-bit layout"):
+            store = dropout_masks(7, 2, [4, 1, 2], PASSES, [8, 5], 0.4)
+        assert store is None
 
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.integers(0, POOL - 1), min_size=1, max_size=2 * POOL), st.data())

@@ -182,7 +182,7 @@ class TestValidate:
         cfg = ExperimentConfig()
         for name, value in {"dataset.source": "csv", "dataset.csv_path": "d.csv",
                             "dataset.kind": "unused", "dataset.features": "0",
-                            "dataset.n": "5"}.items():
+                            "dataset.n": "5", "dataset.classes": "1"}.items():
             cfg = apply_setting(cfg, name, value)
         validate(cfg)
 
